@@ -2,14 +2,16 @@
 # CI gate, in two tiers. Everything runs offline — the workspace has
 # zero external dependencies.
 #
-#   ./ci.sh quick   fmt, clippy, debug build, unit tests, corpus replay
+#   ./ci.sh quick   fmt, clippy, debug build, unit tests, the benchmark
+#                   package's own tests, corpus replay
 #                   (the edit-compile loop: fast, no release artifacts)
 #   ./ci.sh full    everything in quick, plus the release build, chaos
 #                   sweep, differential fuzz, the AST round-trip
 #                   conformance harness, the incremental re-inspection
 #                   gate, fork-join calibration smoke, telemetry trace
 #                   smoke, the service workload + lifecycle chaos
-#                   storms, and the perf gate
+#                   storms, the perf gate, and a quick pass of the
+#                   end-to-end benchmark with every op checked
 #                   (the merge gate; the default)
 #
 # Every `==` step is wall-clock timed and appended to ci-report.json
@@ -80,12 +82,23 @@ run_step quick "cargo clippy (no unwrap in omprt/rtcheck/cfront/core hot paths)"
 
 run_step quick "debug build" cargo build --workspace
 
-run_step quick "test suite" cargo test --workspace -q
+# subsub-bench's unit tests include chaos storms that arm failpoints
+# process-wide (`cfront.lex` among them); on parallel test threads an
+# armed storm injects its faults into whichever neighbour is lexing at
+# the time. That crate's tests run on one thread, the rest in parallel.
+run_step quick "test suite" cargo test --workspace --exclude subsub-bench -q
+run_step quick "test suite (subsub-bench, one thread: armed failpoints are process-wide)" \
+  cargo test -p subsub-bench -q -- --test-threads=1
+
+# The benchmark is a package of its own (benchmark/Cargo.toml, outside
+# the workspace), so the workspace test run above does not reach it.
+run_step quick "benchmark package tests" \
+  cargo test --offline --manifest-path benchmark/Cargo.toml -q
 
 # Replay the committed adversarial corpus (arrays, predicates, kernels,
-# reinspect plans, composed chains, frontend sources) without the
-# seeded campaigns: cheap enough for the edit-compile loop, and the
-# corpus is exactly the set of cases that once broke something.
+# reinspect plans, composed chains, fingerprints, frontend sources)
+# without the seeded campaigns: cheap enough for the edit-compile loop,
+# and the corpus is exactly the set of cases that once broke something.
 run_step quick "corpus replay (committed regressions, no campaigns)" \
   cargo run -q -p subsub-bench --bin fuzz -- --replay-only
 
@@ -107,7 +120,8 @@ run_step full "chaos sweep (seeded fault injection, pinned seeds)" \
 # Adversarial campaigns over the inspect/guard/dispatch trust boundary:
 # inspector vs brute-force reference (whole-array, block-monotone and
 # composed two-level flavours), incremental re-inspection vs full-scan
-# rebuild, compiled predicate vs checked-i128 evaluator, mutated C
+# rebuild, content fingerprint vs a one-word-at-a-time reference of the
+# format, compiled predicate vs checked-i128 evaluator, mutated C
 # sources vs the frontend's no-panic/deterministic-rejection/round-trip
 # contract, guarded parallel kernels vs serial goldens — then a full
 # replay of the committed regression corpus. Any divergence fails CI
@@ -124,9 +138,9 @@ run_step full "AST round-trip conformance (kernel registry + committed corpus)" 
   cargo run --release -q -p subsub-bench --bin conform
 
 # The 1 Mi-element mutate-then-reinspect workload: a single-element
-# mutate_range (block rescan + O(blocks) verdict/checksum recombine)
-# must agree with the full re-ingest + full-scan reference at every
-# checkpoint and beat it by at least the 20x acceptance floor.
+# mutate_range (block rescan + checksum patch + O(blocks) verdict
+# recombine) must agree with the full re-ingest + full-scan reference
+# at every checkpoint and beat it by at least the 20x acceptance floor.
 run_step full "incremental re-inspection gate (O(delta) vs full re-scan)" \
   cargo run --release -q -p subsub-bench --bin reinspect
 
@@ -189,6 +203,14 @@ run_step full "snapshot round-trip (write -> corrupt -> reject -> rebuild)" \
 # refresh with 'perfgate --update' alongside an intentional perf change.
 run_step full "perf gate (medians vs committed baseline, +/-25%)" \
   cargo run --release -q -p subsub-bench --bin perfgate
+
+# All six workloads of BENCHMARK.json, untraced then traced, about a
+# second each: every op is held against its outside reference, every
+# declared metric must be present and the per-layer sums in band. A
+# smoke test of the request path end to end — the numbers it prints are
+# too short to compare (benchmark/README.md says how to measure).
+run_step full "end-to-end benchmark, quick pass (six workloads, every op checked)" \
+  bash benchmark/run.sh --quick
 
 flush_report pass
 echo "CI gate passed (full tier). Report: $REPORT"

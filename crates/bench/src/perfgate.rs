@@ -61,12 +61,25 @@ pub fn run_suite() -> Vec<BenchStats> {
         std::hint::black_box(inspect_serial(std::hint::black_box(&ramp)));
     }));
 
-    // Fused single-pass ingest: domain scan + per-block fingerprint +
-    // monotonicity summaries over one traversal (what `ingest` pays).
-    out.push(bench("inspect/simd-65536", || {
+    // Fused ingest: domain compare + block fingerprint + monotonicity
+    // flags from one loop per block (what `ingest` pays).
+    out.push(bench("ingest/fused-65536", || {
         let s = BlockSummaries::build(std::hint::black_box(&ramp), INSPECT_LEN)
             .expect("ramp is in domain");
         std::hint::black_box(s.checksum());
+    }));
+
+    // The tamper gate: fingerprint + domain recomputed from raw data,
+    // once per paranoid lookup and per `decide_ingested`.
+    let verified = ValidatedIndexArray::ingest(
+        "perfgate-verify",
+        ramp.clone(),
+        INSPECT_LEN,
+        Provenance::Generated { seed: 0x5eed },
+    )
+    .expect("ramp is in domain");
+    out.push(bench("verify/65536", || {
+        std::hint::black_box(std::hint::black_box(&verified).verify()).expect("untampered");
     }));
 
     // Composed two-level verdict over two pre-ingested 65 Ki arrays:
@@ -95,7 +108,7 @@ pub fn run_suite() -> Vec<BenchStats> {
     }));
 
     // O(Δ) re-inspection: single-element mutate_range into a 1 Mi-element
-    // array, verdict + checksum refreshed from summaries. Rewriting the
+    // array, checksum patched, verdict recombined from summaries. Rewriting the
     // resident value keeps every iteration identical while still paying
     // the full dirty-window bookkeeping.
     let n = REINSPECT_LEN;

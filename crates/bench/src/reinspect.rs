@@ -6,8 +6,9 @@
 //! writes a handful of entries into a large index array. Before PR 7
 //! every such write invalidated the whole trust chain — re-validate the
 //! domain O(n), re-fingerprint O(n), re-inspect O(n). With block
-//! summaries the same write costs one ~4 Ki-element block rescan plus an
-//! O(blocks) verdict/checksum recombine, independent of the array size.
+//! summaries the same write costs one ~4 Ki-element block rescan and a
+//! checksum patch, independent of the array size, plus an O(blocks)
+//! verdict recombine when the verdict is next asked for.
 //!
 //! [`run_reinspect_workload`] times both paths on the same 1 Mi-element
 //! array and reports the ratio; the `reinspect` bin gates CI on the
@@ -120,11 +121,7 @@ mod tests {
         let checksum = a.checksum();
         touch(&mut a, 7_777);
         assert_eq!(a.data(), &before[..]);
-        assert_eq!(
-            a.checksum(),
-            checksum,
-            "identical contents, same v2 checksum"
-        );
+        assert_eq!(a.checksum(), checksum, "identical contents, same checksum");
         assert_eq!(a.version(), 1, "the boundary still saw a write");
     }
 }

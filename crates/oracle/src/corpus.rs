@@ -34,6 +34,13 @@
 //! kind: source
 //! name: unclosed-brace
 //! source: void f() {\n    x = 1;
+//! ---
+//! kind: fingerprint
+//! name: one-past-a-block
+//! domain: 1000003
+//! len: 4097
+//! seed: 12
+//! mutations: 0=5 4096=7
 //! ```
 //!
 //! A `source` entry replays C source text through the frontend
@@ -47,11 +54,19 @@
 //! diffs the incremental block-summary state against a full scan after
 //! every write.
 //!
+//! A `fingerprint` entry holds the content checksum against the naive
+//! reference of the format ([`crate::fingerprint::check_fingerprint`])
+//! after ingest and after every `at=value` write. Its array is either
+//! listed (`data:`, what a shrunk reproducer looks like) or named by
+//! `len:` + `seed:` ([`crate::fingerprint::gen_fingerprint_data`]), so
+//! a multi-block case stays one line long.
+//!
 //! Binding names with a `_max` suffix are installed with
 //! [`Bindings::set_post_max`], matching the parser's treatment of
 //! `X_max` symbols in check sources.
 
 use crate::diff::{check_composed, check_index_array, check_kernel, check_reinspect, Divergence};
+use crate::fingerprint::{check_fingerprint, gen_fingerprint_data};
 use crate::gen::{brute_force_monotone, ArrayShape, GeneratedArray, MutationStep};
 use crate::refeval::{compare, ref_eval, PredicateAgreement};
 use crate::srcgen::{check_frontend, FUZZ_BUDGET};
@@ -167,6 +182,19 @@ pub enum CorpusEntry {
         /// The inner array; validated against `outer.len()`.
         inner: Vec<usize>,
     },
+    /// An array and a write plan replayed through
+    /// [`check_fingerprint`]: production checksum against the naive
+    /// reference of the format at every step.
+    Fingerprint {
+        /// Entry id.
+        name: String,
+        /// Exclusive domain bound (at least 1).
+        domain: usize,
+        /// The seed array, listed or generated from `len` + `seed`.
+        data: Vec<usize>,
+        /// Writes applied through `mutate_range`, in order.
+        plan: Vec<MutationStep>,
+    },
 }
 
 impl CorpusEntry {
@@ -178,7 +206,8 @@ impl CorpusEntry {
             | CorpusEntry::Kernel { name, .. }
             | CorpusEntry::Reinspect { name, .. }
             | CorpusEntry::Source { name, .. }
-            | CorpusEntry::Composed { name, .. } => name,
+            | CorpusEntry::Composed { name, .. }
+            | CorpusEntry::Fingerprint { name, .. } => name,
         }
     }
 }
@@ -278,14 +307,52 @@ fn parse_entry(block: &str, file: &Path) -> Result<Option<CorpusEntry>, CorpusEr
         file: file.to_path_buf(),
         detail,
     };
+    let parse_list = |key: &str| -> Result<Vec<usize>, CorpusError> {
+        let mut out = Vec::new();
+        for tok in get(key)?.split_whitespace() {
+            out.push(
+                tok.parse::<usize>()
+                    .map_err(|e| malformed(format!("bad {key} value `{tok}`: {e}")))?,
+            );
+        }
+        Ok(out)
+    };
+    // A list that may be left out (an empty array).
+    let parse_list_or_empty = |key: &str| -> Result<Vec<usize>, CorpusError> {
+        if get(key).is_ok() {
+            parse_list(key)
+        } else {
+            Ok(Vec::new())
+        }
+    };
+    let parse_usize = |key: &str| -> Result<usize, CorpusError> {
+        get(key)?
+            .parse::<usize>()
+            .map_err(|e| malformed(format!("bad {key}: {e}")))
+    };
+    let parse_mutations = |text: String| -> Result<Vec<MutationStep>, CorpusError> {
+        let mut plan = Vec::new();
+        for tok in text.split_whitespace() {
+            let (at, value) = tok
+                .split_once('=')
+                .ok_or_else(|| malformed(format!("bad mutation `{tok}` (want at=value)")))?;
+            plan.push(MutationStep {
+                at: at
+                    .parse::<usize>()
+                    .map_err(|e| malformed(format!("bad mutation index `{tok}`: {e}")))?,
+                value: value
+                    .parse::<usize>()
+                    .map_err(|e| malformed(format!("bad mutation value `{tok}`: {e}")))?,
+            });
+        }
+        Ok(plan)
+    };
     match kind.as_str() {
         "array" => {
             let shape_s = get("shape")?;
             let shape = ArrayShape::parse(&shape_s)
                 .ok_or_else(|| malformed(format!("unknown shape `{shape_s}`")))?;
-            let domain = get("domain")?
-                .parse::<usize>()
-                .map_err(|e| malformed(format!("bad domain: {e}")))?;
+            let domain = parse_usize("domain")?;
             let expect_s = get("expect")?;
             let expect_reject = match expect_s.as_str() {
                 "accept" => false,
@@ -296,20 +363,12 @@ fn parse_entry(block: &str, file: &Path) -> Result<Option<CorpusEntry>, CorpusEr
                     )))
                 }
             };
-            let data_s = get("data").unwrap_or_default();
-            let mut data = Vec::new();
-            for tok in data_s.split_whitespace() {
-                data.push(
-                    tok.parse::<usize>()
-                        .map_err(|e| malformed(format!("bad data value `{tok}`: {e}")))?,
-                );
-            }
             Ok(Some(CorpusEntry::Array {
                 name: get("name")?,
                 shape,
                 domain,
                 expect_reject,
-                data,
+                data: parse_list_or_empty("data")?,
             }))
         }
         "predicate" => {
@@ -351,36 +410,31 @@ fn parse_entry(block: &str, file: &Path) -> Result<Option<CorpusEntry>, CorpusEr
                 .parse::<u64>()
                 .map_err(|e| malformed(format!("bad seed: {e}")))?,
         })),
-        "reinspect" => {
-            let domain = get("domain")?
-                .parse::<usize>()
-                .map_err(|e| malformed(format!("bad domain: {e}")))?;
-            let mut data = Vec::new();
-            for tok in get("data").unwrap_or_default().split_whitespace() {
-                data.push(
-                    tok.parse::<usize>()
-                        .map_err(|e| malformed(format!("bad data value `{tok}`: {e}")))?,
-                );
+        "reinspect" => Ok(Some(CorpusEntry::Reinspect {
+            name: get("name")?,
+            domain: parse_usize("domain")?,
+            data: parse_list_or_empty("data")?,
+            plan: parse_mutations(get("mutations")?)?,
+        })),
+        "fingerprint" => {
+            let domain = parse_usize("domain")?;
+            if domain == 0 {
+                return Err(malformed("fingerprint domain must be >= 1".to_string()));
             }
-            let mut plan = Vec::new();
-            for tok in get("mutations")?.split_whitespace() {
-                let (at, value) = tok
-                    .split_once('=')
-                    .ok_or_else(|| malformed(format!("bad mutation `{tok}` (want at=value)")))?;
-                plan.push(MutationStep {
-                    at: at
-                        .parse::<usize>()
-                        .map_err(|e| malformed(format!("bad mutation index `{tok}`: {e}")))?,
-                    value: value
-                        .parse::<usize>()
-                        .map_err(|e| malformed(format!("bad mutation value `{tok}`: {e}")))?,
-                });
-            }
-            Ok(Some(CorpusEntry::Reinspect {
+            let data = match get("data") {
+                Ok(_) => parse_list("data")?,
+                Err(_) => {
+                    let seed = get("seed")?
+                        .parse::<u64>()
+                        .map_err(|e| malformed(format!("bad seed: {e}")))?;
+                    gen_fingerprint_data(parse_usize("len")?, seed, domain)
+                }
+            };
+            Ok(Some(CorpusEntry::Fingerprint {
                 name: get("name")?,
                 domain,
                 data,
-                plan,
+                plan: parse_mutations(get("mutations").unwrap_or_default())?,
             }))
         }
         "source" => Ok(Some(CorpusEntry::Source {
@@ -388,26 +442,12 @@ fn parse_entry(block: &str, file: &Path) -> Result<Option<CorpusEntry>, CorpusEr
             source: unescape_source(&get("source")?)
                 .map_err(|e| malformed(format!("bad source escape: {e}")))?,
         })),
-        "composed" => {
-            let parse_list = |key: &str| -> Result<Vec<usize>, CorpusError> {
-                let mut out = Vec::new();
-                for tok in get(key)?.split_whitespace() {
-                    out.push(
-                        tok.parse::<usize>()
-                            .map_err(|e| malformed(format!("bad {key} value `{tok}`: {e}")))?,
-                    );
-                }
-                Ok(out)
-            };
-            Ok(Some(CorpusEntry::Composed {
-                name: get("name")?,
-                domain: get("domain")?
-                    .parse::<usize>()
-                    .map_err(|e| malformed(format!("bad domain: {e}")))?,
-                outer: parse_list("outer")?,
-                inner: parse_list("inner")?,
-            }))
-        }
+        "composed" => Ok(Some(CorpusEntry::Composed {
+            name: get("name")?,
+            domain: parse_usize("domain")?,
+            outer: parse_list("outer")?,
+            inner: parse_list("inner")?,
+        })),
         other => Err(malformed(format!("unknown kind `{other}`"))),
     }
 }
@@ -551,6 +591,15 @@ pub fn replay(entry: &CorpusEntry, pool: &ThreadPool) -> Vec<String> {
             outer,
             inner,
         } => check_composed(name, outer, *domain, inner)
+            .into_iter()
+            .map(|d| format!("[{name}] {d}"))
+            .collect(),
+        CorpusEntry::Fingerprint {
+            name,
+            domain,
+            data,
+            plan,
+        } => check_fingerprint(name, data, *domain, plan)
             .into_iter()
             .map(|d| format!("[{name}] {d}"))
             .collect(),
@@ -704,6 +753,39 @@ mod tests {
                 "{bad:?}"
             );
         }
+    }
+
+    #[test]
+    fn fingerprint_entries_parse_listed_or_generated_and_replay() {
+        let pool = ThreadPool::new(2);
+        let listed =
+            parse_one("kind: fingerprint\nname: f\ndomain: 10\ndata: 0 9 3\nmutations: 1=2\n");
+        assert!(replay(&listed, &pool).is_empty());
+        let generated = parse_one("kind: fingerprint\nname: g\ndomain: 1000\nlen: 4097\nseed: 3\n");
+        match &generated {
+            CorpusEntry::Fingerprint { data, plan, .. } => {
+                assert_eq!((data.len(), plan.len()), (4097, 0));
+            }
+            other => panic!("wrong kind: {other:?}"),
+        }
+        assert!(replay(&generated, &pool).is_empty());
+        for bad in [
+            "kind: fingerprint\nname: f\ndomain: 0\ndata:\n",
+            "kind: fingerprint\nname: f\ndomain: 10\nlen: 4\n",
+            "kind: fingerprint\nname: f\ndomain: 10\ndata: 1 2\nmutations: 1+2\n",
+        ] {
+            assert!(
+                matches!(
+                    parse_corpus(bad, Path::new("t.corpus")),
+                    Err(CorpusError::Malformed { .. })
+                ),
+                "{bad:?}"
+            );
+        }
+        // An out-of-bounds write is a malformed case, reported by name.
+        let oob = parse_one("kind: fingerprint\nname: f2\ndomain: 10\ndata: 1\nmutations: 5=0\n");
+        let failures = replay(&oob, &pool);
+        assert!(failures[0].contains("[f2]"), "{failures:?}");
     }
 
     #[test]

@@ -15,10 +15,13 @@
 //!   reference after every step of a seeded mutation plan, plus the
 //!   tampered-instance leg: a write that bypasses the boundary must be
 //!   flagged by `verify()`.
+//! * [`crate::fingerprint::check_fingerprint`] — the content checksum
+//!   against a naive reference of the `subsub-fingerprint/v3` format.
 //!
 //! Every violation is a structured [`Divergence`]; an empty result is
 //! the oracle's "no divergence" verdict.
 
+use crate::fingerprint::reference_fingerprint;
 use crate::gen::{brute_force_block_monotone, brute_force_monotone, GeneratedArray, MutationStep};
 use crate::refeval::{compare, ref_eval, PredicateAgreement, RefEvalError};
 use std::fmt;
@@ -27,8 +30,8 @@ use subsub_kernels::Kernel;
 use subsub_omprt::{Schedule, ThreadPool};
 use subsub_rtcheck::{
     composed_verdict, inspect_block_monotone, inspect_monotone, inspect_serial, Bindings,
-    BlockSummaries, CheckExpr, CompiledCheck, EvalError, GuardPath, GuardedExecutor,
-    MonotoneVerdict, Provenance, ValidatedIndexArray, BLOCK_LEN,
+    CheckExpr, CompiledCheck, EvalError, GuardPath, GuardedExecutor, MonotoneVerdict, Provenance,
+    ValidatedIndexArray, BLOCK_LEN,
 };
 use subsub_sparse::Rng64;
 
@@ -144,6 +147,18 @@ pub enum Divergence {
         /// What diverged.
         detail: String,
     },
+    /// The production content fingerprint disagrees with the naive
+    /// reference of the format, or a single-word tamper did not surface
+    /// as a checksum mismatch.
+    FingerprintMismatch {
+        /// Length-class label (or corpus id) of the offending array.
+        label: String,
+        /// Which step of the plan diverged (0 for the ingest itself,
+        /// the plan length for the tamper leg).
+        step: usize,
+        /// What diverged.
+        detail: String,
+    },
 }
 
 impl fmt::Display for Divergence {
@@ -216,6 +231,11 @@ impl fmt::Display for Divergence {
                 step,
                 detail,
             } => write!(f, "reinspect mismatch [{label}] at step {step}: {detail}"),
+            Divergence::FingerprintMismatch {
+                label,
+                step,
+                detail,
+            } => write!(f, "fingerprint mismatch [{label}] at step {step}: {detail}"),
         }
     }
 }
@@ -376,8 +396,8 @@ pub fn check_composed(
 /// an independent mirror `Vec` of what the contents must be (writes the
 /// boundary rejects leave the mirror untouched). After every step the
 /// incremental state — contents, `summary_verdict()`, `checksum()` —
-/// must match the mirror as seen by `inspect_serial` and a from-scratch
-/// `BlockSummaries` build, and `verify()` must pass. Finally a write is
+/// must match the mirror as seen by `inspect_serial` and the naive
+/// [`reference_fingerprint`], and `verify()` must pass. Finally a write is
 /// smuggled past the boundary with `bypass_validation_mut`; `verify()`
 /// flagging it is the tamper gate the summaries must never weaken.
 pub fn check_reinspect(
@@ -451,12 +471,12 @@ pub fn check_reinspect(
                 format!("summary verdict {incremental:?} != full scan {full:?}"),
             ));
         }
-        let fresh = BlockSummaries::build_unchecked(&mirror).checksum();
+        let fresh = reference_fingerprint(&mirror);
         if array.checksum() != fresh {
             out.push(mismatch(
                 step,
                 format!(
-                    "incremental checksum {:016x} != full rebuild {fresh:016x}",
+                    "incremental checksum {:016x} != reference {fresh:016x}",
                     array.checksum()
                 ),
             ));

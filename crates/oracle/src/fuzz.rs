@@ -8,9 +8,12 @@
 use crate::diff::{
     check_composed, check_index_array, check_kernel, check_predicate, check_reinspect, Divergence,
 };
+use crate::fingerprint::{
+    check_fingerprint, fingerprint_diverges, gen_fingerprint_data, FINGERPRINT_LENGTHS,
+};
 use crate::gen::{
     brute_force_monotone, gen_array, gen_bindings, gen_check, gen_inner_index, gen_mutation_plan,
-    ArrayShape, ALL_SHAPES,
+    ArrayShape, GeneratedArray, ALL_SHAPES,
 };
 use crate::shrink::shrink_array;
 use crate::srcgen::{check_frontend, gen_source_case, FUZZ_BUDGET};
@@ -64,6 +67,9 @@ pub struct FuzzReport {
     /// Composed (two-level) index-array pairs checked against the
     /// materialized composition.
     pub composed_cases: usize,
+    /// Arrays (one per length class of the format, per round) whose
+    /// content checksum was held against the reference fingerprint.
+    pub fingerprint_cases: usize,
     /// Predicate pairs checked.
     pub predicate_cases: usize,
     /// Mutated sources checked through the frontend leg.
@@ -85,12 +91,13 @@ impl fmt::Display for FuzzReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "seed {}: {} arrays, {} reinspect plans, {} composed pairs, {} predicates, \
-             {} sources, {} kernel runs -> {} divergence(s)",
+            "seed {}: {} arrays, {} reinspect plans, {} composed pairs, {} fingerprints, \
+             {} predicates, {} sources, {} kernel runs -> {} divergence(s)",
             self.seed,
             self.array_cases,
             self.reinspect_cases,
             self.composed_cases,
+            self.fingerprint_cases,
             self.predicate_cases,
             self.source_cases,
             self.kernel_cases,
@@ -120,6 +127,7 @@ pub fn run_campaign(cfg: &FuzzConfig, pool: &ThreadPool) -> FuzzReport {
         array_cases: 0,
         reinspect_cases: 0,
         composed_cases: 0,
+        fingerprint_cases: 0,
         predicate_cases: 0,
         source_cases: 0,
         kernel_cases: 0,
@@ -187,6 +195,36 @@ pub fn run_campaign(cfg: &FuzzConfig, pool: &ThreadPool) -> FuzzReport {
         }
     }
 
+    // Leg 1d: the content fingerprint against the naive reference of
+    // the format, at every length class, after ingest and along a seeded
+    // write plan. On its own rng stream, like the sources below. A
+    // divergence on the fresh ingest is shrunk to a minimal array.
+    let mut fp_rng = Rng64::seed_from_u64(cfg.seed ^ 0x46_50_33);
+    for _ in 0..cfg.arrays_per_shape.div_ceil(4) {
+        for len in FINGERPRINT_LENGTHS {
+            let domain = fp_rng.gen_usize(1, 1 << 40);
+            let g = GeneratedArray {
+                shape: ArrayShape::RandomUniform,
+                data: gen_fingerprint_data(len, fp_rng.next_u64(), domain),
+                domain,
+                expect_reject: false,
+            };
+            let plan = gen_mutation_plan(&mut fp_rng, &g);
+            report.fingerprint_cases += 1;
+            let label = format!("fingerprint-len-{len}");
+            let found = check_fingerprint(&label, &g.data, domain, &plan);
+            if !found.is_empty() && fingerprint_diverges(&g.data, domain) {
+                let minimal = shrink_array(&g.data, |c| fingerprint_diverges(c, domain));
+                let shrunk = format!("{label} (shrunk from {len} elems: {minimal:?})");
+                report
+                    .divergences
+                    .extend(check_fingerprint(&shrunk, &minimal, domain, &[]));
+            } else {
+                report.divergences.extend(found);
+            }
+        }
+    }
+
     // Leg 2: compiled predicate vs checked-i128 reference.
     for _ in 0..cfg.predicates {
         let check = gen_check(&mut rng);
@@ -250,6 +288,8 @@ mod tests {
         assert_eq!(report.reinspect_cases, 3 * (ALL_SHAPES.len() - 3));
         // Three outer shapes feed the composed leg.
         assert_eq!(report.composed_cases, 3 * 3);
+        // One round over the length classes of the fingerprint format.
+        assert_eq!(report.fingerprint_cases, FINGERPRINT_LENGTHS.len());
     }
 
     #[test]
@@ -267,6 +307,7 @@ mod tests {
         assert_eq!(a.array_cases, b.array_cases);
         assert_eq!(a.reinspect_cases, b.reinspect_cases);
         assert_eq!(a.composed_cases, b.composed_cases);
+        assert_eq!(a.fingerprint_cases, b.fingerprint_cases);
         assert_eq!(a.predicate_cases, b.predicate_cases);
         assert_eq!(a.source_cases, b.source_cases);
         assert_eq!(

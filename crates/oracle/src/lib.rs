@@ -13,7 +13,8 @@
 //! | `inspect_serial` / pooled `inspect_monotone` | definitional brute-force scan |
 //! | [`CompiledCheck`](subsub_rtcheck::CompiledCheck) (`i64`, checked) | checked-`i128` interpreter over canonical forms |
 //! | guarded parallel kernel output | serial golden run |
-//! | incremental re-inspection (`mutate_range` + block summaries) | from-scratch summary rebuild + `inspect_serial` |
+//! | incremental re-inspection (`mutate_range` + block summaries) | `inspect_serial` + the reference fingerprint |
+//! | content fingerprint (`checksum()`, patched or fresh, and `verify()`) | one-word-at-a-time reference of `subsub-fingerprint/v3` ([`fingerprint::reference_fingerprint`]) |
 //! | C frontend on mutated sources ([`srcgen::check_frontend`]) | panic-freedom, replay determinism, canonical round-trip identity |
 //!
 //! The trust model is asymmetric (see [`refeval::compare`]): the fast
@@ -28,6 +29,7 @@
 
 pub mod corpus;
 pub mod diff;
+pub mod fingerprint;
 pub mod fuzz;
 pub mod gen;
 pub mod refeval;
@@ -38,6 +40,7 @@ pub use corpus::{load_dir, parse_corpus, replay, replay_all, CorpusEntry, Corpus
 pub use diff::{
     check_composed, check_index_array, check_kernel, check_predicate, check_reinspect, Divergence,
 };
+pub use fingerprint::{check_fingerprint, reference_fingerprint, FINGERPRINT_LENGTHS};
 pub use fuzz::{run_campaign, FuzzConfig, FuzzReport};
 pub use gen::{
     brute_force_block_monotone, brute_force_monotone, gen_array, gen_bindings, gen_check,

@@ -36,6 +36,21 @@ fn corpus_is_nonempty_and_well_formed() {
 }
 
 #[test]
+fn every_fingerprint_length_class_has_a_committed_entry() {
+    let entries = load_dir(&corpus_dir()).expect("corpus loads");
+    let lens: Vec<usize> = entries
+        .iter()
+        .filter_map(|e| match e {
+            CorpusEntry::Fingerprint { data, .. } => Some(data.len()),
+            _ => None,
+        })
+        .collect();
+    for len in subsub_oracle::FINGERPRINT_LENGTHS {
+        assert!(lens.contains(&len), "no fingerprint entry of length {len}");
+    }
+}
+
+#[test]
 fn every_corpus_entry_replays_clean() {
     let entries = load_dir(&corpus_dir()).expect("corpus loads");
     let pool = ThreadPool::new(3);

@@ -1,71 +1,282 @@
-//! Per-block summaries: the O(Δ) re-inspection substrate.
+//! Per-block summaries: the O(Δ) re-inspection substrate, and the
+//! `subsub-fingerprint/v3` content fingerprint they carry.
 //!
 //! A full inspection or fingerprint pass is O(n) no matter how small the
 //! mutation that invalidated it. This module cuts an index array into
 //! fixed [`BLOCK_LEN`]-element blocks and keeps one [`BlockSummary`] per
 //! block — its boundary values, its interior monotonicity flags, the
-//! absolute index of its first interior decrease, and a per-block FNV
+//! absolute index of its first interior decrease, and its block
 //! fingerprint. From the summary vector alone the whole-array verdict
-//! and the whole-array checksum recombine in O(blocks): interior flags
-//! AND together in block order, the pairs *joining* adjacent blocks are
-//! re-derived from the stored `last`/`first` boundary values, and the
-//! block fingerprints fold (in block order, seeded with the length) into
-//! the `subsub-fingerprint/v2` content checksum.
+//! recombines in O(blocks): interior flags AND together in block order
+//! and the pairs *joining* adjacent blocks are re-derived from the stored
+//! `last`/`first` boundary values. The whole-array fingerprint is a
+//! position-keyed wrapping sum of the block fingerprints, so it is kept
+//! as one `u64` and patched per rescanned block.
 //!
 //! After a ranged mutation, only the blocks overlapping the dirty window
 //! need rescanning — every join pair is recovered from boundary values
-//! at combine time, so a single-element write into a 1 Mi-element array
-//! costs one block rescan plus an O(blocks) recombine, not O(n).
+//! at verdict time and the fingerprint is patched by `− mix(old) +
+//! mix(new)`, so a single-element write into an array of any size costs
+//! one block rescan, not O(n) and not O(blocks).
+//!
+//! **The v3 fingerprint** (DESIGN.md §7 has the argument; the oracle
+//! crate has a one-word-at-a-time reference it is checked against):
+//!
+//! * `step(h, w) = (h ^ w) * FNV_PRIME` (wrapping) — a bijection in `w`
+//!   for fixed `h` and in `h` for fixed `w`, because the prime is odd.
+//! * A block of `c` words with `c >= LANE_MIN`: lane `j` starts at
+//!   `LANE_SEEDS[j]` and absorbs words `j, j + LANES, j + 2·LANES, …` of
+//!   the block's whole `LANES`-word rows with `step`; then
+//!   `h = FNV_OFFSET ^ c`, the lane states are absorbed into `h` in lane
+//!   order, and the `c % LANES` tail words after them.
+//! * A block of `c < LANE_MIN` words has no lane phase: its words are
+//!   absorbed into `h = FNV_OFFSET ^ c` directly.
+//! * The array value is `finalize(FNV_OFFSET ^ len) + Σ_k
+//!   finalize(block_k ^ (k + 1)·GOLDEN)` (wrapping), `finalize` being
+//!   the splitmix64 output permutation.
+//!
+//! Every step is a bijection in what it absorbs, so a change of any one
+//! word changes its lane (or tail) state, hence its block fingerprint,
+//! hence the sum — with certainty, not with probability.
 //!
 //! The summaries are maintained *by the trust boundary*: they are
 //! rebuilt or patched on exactly the operations that bump the
 //! write-version, so they describe the current contents precisely as
 //! long as every writer goes through the boundary. A bypassing writer
-//! leaves them stale — which is the same staleness the content checksum
-//! catches, and why `verify()` recomputes from raw data before any
-//! summary-derived verdict is trusted (see `validate.rs`).
+//! leaves them stale — which is the same staleness the content
+//! fingerprint catches, and why `verify()` recomputes it from raw data
+//! before any summary-derived verdict is trusted (see `validate.rs`).
 
 use crate::inspect::{scan_pairs, MonotoneVerdict};
 use std::ops::Range;
 
 /// Elements per summary block. 4 Ki elements × 8 bytes = 32 KiB — one
 /// block rescan stays L1/L2-resident, while a 1 Mi-element array needs
-/// only 256 summaries (~10 KiB) and an O(256) recombine.
+/// only 256 summaries (~10 KiB) and an O(256) verdict recombine.
 pub const BLOCK_LEN: usize = 4096;
 
-/// Version tag of the combined content checksum ([`combine_fnv`]):
-/// `subsub-fingerprint/v2`, the per-block word-folded FNV-1a scheme.
+/// Version tag of the content fingerprint: `subsub-fingerprint/v3`, the
+/// multi-lane block fold under a position-keyed sum (module docs).
 /// Rides along in service cache keys and snapshots so a verdict
 /// fingerprinted under one scheme is never served under another.
-pub const FINGERPRINT_VERSION: u8 = 2;
+pub const FINGERPRINT_VERSION: u8 = 3;
+
+/// Independent accumulators of the per-block fold. Part of the format:
+/// a different lane count is a different fingerprint. 32 lanes are four
+/// 512-bit vectors of packed 64-bit multiplies — enough independent
+/// chains to cover the multiply latency (8 lanes measured 2.7× slower
+/// on ingest; 16 keep up on ingest but verify at 22 GB/s, not 38).
+pub const LANES: usize = 32;
+
+/// Words a block needs before it gets a lane phase; a shorter block is
+/// folded one word at a time. Part of the format. An eighth of a block
+/// (4 KiB): from here up the lanes are over 4× faster than the chain
+/// and save half a microsecond or more per sweep; below, a sweep is
+/// under a microsecond either way, and staying scalar keeps a core that
+/// only ever sees small arrays (every `test` dataset, the service's hot
+/// path) clear of the wide-vector frequency penalty (see `fold_rows`).
+pub const LANE_MIN: usize = 512;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0100_0000_01b3;
+const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// FNV-1a folded one `u64` word per element. The v1 fingerprint folded
-/// byte-wise (eight dependent multiplies per element); v2 folds the
-/// whole word, keeping single-bit sensitivity (xor-then-multiply mixes
-/// every flipped bit through the state) at an eighth of the dependency
-/// chain.
-fn block_fnv(block: &[usize]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &v in block {
-        h = (h ^ v as u64).wrapping_mul(FNV_PRIME);
+const LANE_SEEDS: [u64; LANES] = {
+    let mut seeds = [0u64; LANES];
+    let mut j = 0;
+    while j < LANES {
+        seeds[j] = FNV_OFFSET ^ (j as u64 + 1).wrapping_mul(GOLDEN);
+        j += 1;
     }
-    h
+    seeds
+};
+
+#[inline(always)]
+fn step(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(FNV_PRIME)
 }
 
-/// The `subsub-fingerprint/v2` combining rule: fold the per-block
-/// fingerprints in block order, seeded with the element count. Order
-/// sensitivity comes from the fold, length sensitivity from the seed —
-/// so the combined value is well-defined given only (length, block
-/// fingerprints) and recomputes in O(blocks) after any block rescan.
-fn combine_fnv(len: usize, block_fnvs: impl Iterator<Item = u64>) -> u64 {
-    let mut h = FNV_OFFSET ^ (len as u64);
-    for f in block_fnvs {
-        h = (h ^ f).wrapping_mul(FNV_PRIME);
+/// The splitmix64 output permutation (a bijection on `u64`).
+fn finalize(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The term of an empty array: the length alone.
+fn array_seed(len: usize) -> u64 {
+    finalize(FNV_OFFSET ^ len as u64)
+}
+
+/// What block `k` adds to the array value. A bijection in `fp` for a
+/// fixed `k` (a changed block always changes the sum), keyed by `k` so
+/// that equal blocks at different positions add different terms.
+fn mix(fp: u64, k: usize) -> u64 {
+    finalize(fp ^ (k as u64 + 1).wrapping_mul(GOLDEN))
+}
+
+/// What one sweep over a block establishes.
+struct BlockScan {
+    fingerprint: u64,
+    /// Some word is `>= domain`.
+    out_of_domain: bool,
+    /// Some interior pair has `before >= after` / `before > after`
+    /// (both false without `PAIRS`).
+    ge: bool,
+    gt: bool,
+}
+
+/// The one loop over a block's words: the fingerprint fold, the domain
+/// compare and, with `PAIRS`, the two interior pair compares, all over
+/// the same loaded words. Flags only — a caller that needs a *position*
+/// runs [`first_out_of_domain`] or [`scan_pairs`] over the offending
+/// block afterwards.
+///
+/// A block of at least [`LANE_MIN`] words hands its whole rows to
+/// [`fold_rows`]; the words after them — or all the words of a shorter
+/// block — are folded here, one dependent step each.
+fn scan_block<const PAIRS: bool>(block: &[usize], domain: usize) -> BlockScan {
+    let mut scan = BlockScan {
+        fingerprint: FNV_OFFSET ^ block.len() as u64,
+        out_of_domain: false,
+        ge: false,
+        gt: false,
+    };
+    let mut rows = 0;
+    if block.len() >= LANE_MIN {
+        rows = block.len() / LANES * LANES;
+        fold_rows::<PAIRS>(&block[..rows], domain, &mut scan);
     }
-    h
+    for i in rows..block.len() {
+        let w = block[i];
+        scan.out_of_domain |= w >= domain;
+        if PAIRS && i > 0 {
+            scan.ge |= block[i - 1] >= w;
+            scan.gt |= block[i - 1] > w;
+        }
+        scan.fingerprint = step(scan.fingerprint, w as u64);
+    }
+    scan
+}
+
+/// The lane phase: `rows` is a non-empty whole number of `LANES`-word
+/// rows from the start of a block. Lane `j` absorbs word `j` of every
+/// row, the domain compare is a per-lane running maximum, and each row
+/// is compared against the same words shifted one place back; at the
+/// end the lane states are absorbed into `scan.fingerprint` in lane
+/// order.
+///
+/// Keep the shape boring: fixed-size `[_; LANES]` views from
+/// `chunks_exact`, plain `for j in 0..LANES` bodies, accumulators that
+/// are arrays (vector registers) or OR-reduced bools. That is what lets
+/// LLVM emit packed 64-bit multiplies, maxima and compares under
+/// `target-cpu=native` and `LANES` independent scalar chains elsewhere;
+/// the value is wrapping integer arithmetic either way.
+///
+/// Never inlined: on AVX-512 hosts this is 512-bit code, and a core
+/// that executes *any* 512-bit instruction — a hoisted broadcast is
+/// enough — runs everything else slower for about a millisecond
+/// afterwards. Out of line, a sweep over a short block touches none.
+#[inline(never)]
+fn fold_rows<const PAIRS: bool>(rows: &[usize], domain: usize, scan: &mut BlockScan) {
+    let mut lanes = LANE_SEEDS;
+    let mut max = [0usize; LANES];
+    let mut absorb = |w: &[usize; LANES]| {
+        for j in 0..LANES {
+            max[j] = max[j].max(w[j]);
+            lanes[j] = step(lanes[j], w[j] as u64);
+        }
+    };
+    // Row 0's first word has no predecessor inside the block, so its
+    // pairs are taken within the row.
+    let first: &[usize; LANES] = rows[..LANES].try_into().expect("at least one row");
+    absorb(first);
+    if PAIRS {
+        for j in 1..LANES {
+            scan.ge |= first[j - 1] >= first[j];
+            scan.gt |= first[j - 1] > first[j];
+        }
+    }
+    let words = rows[LANES..].chunks_exact(LANES);
+    let befores = rows[LANES - 1..rows.len() - 1].chunks_exact(LANES);
+    for (before, w) in befores.zip(words) {
+        let before: &[usize; LANES] = before.try_into().expect("chunks_exact");
+        let w: &[usize; LANES] = w.try_into().expect("chunks_exact");
+        absorb(w);
+        if PAIRS {
+            for j in 0..LANES {
+                scan.ge |= before[j] >= w[j];
+                scan.gt |= before[j] > w[j];
+            }
+        }
+    }
+    for m in max {
+        scan.out_of_domain |= m >= domain;
+    }
+    for lane in lanes {
+        scan.fingerprint = step(scan.fingerprint, lane);
+    }
+}
+
+/// Words in a 4 KiB page and in a 64-byte cache line.
+const PAGE_WORDS: usize = 512;
+const LINE_WORDS: usize = 8;
+
+/// Leading lines of each page that [`touch_block_after`] reads.
+const TOUCH_LINES: usize = 4;
+
+/// Reads the first [`TOUCH_LINES`] cache lines of every 4 KiB page of
+/// the block after block `k`; the whole-array sweeps call it before
+/// they fold block `k`.
+///
+/// The hardware prefetchers that keep a sequential read fed work within
+/// a page. Every 4 KiB the fold meets lines — and a page-table walk,
+/// two-dimensional in a guest — that nothing has asked for yet, and the
+/// prefetcher has to be trained again. A bare compare scan is light
+/// enough for out-of-order execution to reach across the boundary by
+/// itself; the fold is not, and pays exposed memory latency per page:
+/// slower, and swinging with whatever else loads the memory system,
+/// because latency is what a busy neighbour raises first. A few
+/// sequential reads at the head of each page, one block (a few
+/// microseconds) early, get the walk done and the prefetcher running
+/// through the page before the fold arrives. Measured on a 256 MiB
+/// array: `verify()` 26.2 → 23.9 ms and ingest 29.7 → 25.2 ms, beside a
+/// bare scan of the same array at 23.2 ms. One line per page gets a
+/// third of that, eight lines no more than four; reads spread over the
+/// page instead of leading it make the sweep slower than none at all,
+/// and so does looking four blocks ahead instead of one or two. A
+/// cache-resident sweep pays for the extra loads (64 Ki elements:
+/// ingest 19.9 → 20.5 µs, verify 14.5 → 15.0 µs); an array of a single
+/// block reads nothing. A large `Vec` starts within an allocator header
+/// of a page boundary, so index pages are memory pages.
+fn touch_block_after(data: &[usize], k: usize) {
+    if let Some(next) = data.get((k + 1) * BLOCK_LEN..) {
+        for page in next.chunks(PAGE_WORDS).take(BLOCK_LEN / PAGE_WORDS) {
+            for w in page.iter().step_by(LINE_WORDS).take(TOUCH_LINES) {
+                std::hint::black_box(*w);
+            }
+        }
+    }
+}
+
+/// The `subsub-fingerprint/v3` value of `data` and the first index
+/// holding a value `>= domain`, from one read of the data: no pair
+/// compares, nothing built. This is `verify()`'s recompute.
+///
+/// Work: Θ(n). Span: Θ(n) (one thread; blocks are independent, so
+/// Θ(n/p + blocks) is available to a caller that wants it).
+pub(crate) fn fingerprint(data: &[usize], domain: usize) -> (u64, Option<usize>) {
+    let mut sum = array_seed(data.len());
+    let mut offender = None;
+    for (k, block) in data.chunks(BLOCK_LEN).enumerate() {
+        touch_block_after(data, k);
+        let scan = scan_block::<false>(block, domain);
+        sum = sum.wrapping_add(mix(scan.fingerprint, k));
+        if scan.out_of_domain && offender.is_none() {
+            offender = first_out_of_domain(block, domain).map(|rel| k * BLOCK_LEN + rel);
+        }
+    }
+    (sum, offender)
 }
 
 /// What one block contributes to the whole-array verdict and checksum.
@@ -81,26 +292,32 @@ pub struct BlockSummary {
     pub strict: bool,
     /// Absolute index of the first interior decrease, if any.
     pub first_violation: Option<usize>,
-    /// Per-block FNV-1a fingerprint ([`FINGERPRINT_VERSION`] scheme).
-    pub fnv: u64,
+    /// The block's [`FINGERPRINT_VERSION`] fingerprint.
+    pub fingerprint: u64,
 }
 
-fn summarize(block_start: usize, block: &[usize]) -> BlockSummary {
-    let ps = scan_pairs(block);
+/// Summary of a non-empty `block` starting at absolute index `start`.
+/// The positioned pass for `first_violation` runs only over a block the
+/// sweep flagged, and stops at the first decrease.
+fn summarize(start: usize, block: &[usize], scan: &BlockScan) -> BlockSummary {
     BlockSummary {
-        first: block.first().copied().unwrap_or(0),
-        last: block.last().copied().unwrap_or(0),
-        nonstrict: ps.nonstrict,
-        strict: ps.strict,
-        first_violation: ps.first_violation.map(|i| block_start + i),
-        fnv: block_fnv(block),
+        first: block[0],
+        last: block[block.len() - 1],
+        nonstrict: !scan.gt,
+        strict: !scan.ge,
+        first_violation: if scan.gt {
+            scan_pairs(block).first_violation.map(|i| start + i)
+        } else {
+            None
+        },
+        fingerprint: scan.fingerprint,
     }
 }
 
 /// Wide out-of-domain scan: smallest index with `data[i] >= domain`.
 /// Same stride/accumulate/positioned-second-pass shape as
-/// [`scan_pairs`], so the domain half of ingestion runs at the same
-/// autovectorized throughput as the monotonicity half.
+/// [`scan_pairs`]. The ingest and verify sweeps only flag a block; this
+/// finds the position inside it, and validates a `mutate_range` window.
 pub fn first_out_of_domain(data: &[usize], domain: usize) -> Option<usize> {
     const STRIDE: usize = 512;
     let mut pos = 0usize;
@@ -133,43 +350,40 @@ pub fn first_out_of_domain(data: &[usize], domain: usize) -> Option<usize> {
 pub struct BlockSummaries {
     blocks: Vec<BlockSummary>,
     len: usize,
+    /// `array_seed(len) + Σ_k mix(blocks[k].fingerprint, k)`, wrapping.
+    checksum: u64,
 }
 
 impl BlockSummaries {
     /// Builds summaries for `data`, validating every entry against
-    /// `domain` in the same pass — the fused single-pass ingest core.
-    /// Per block: one wide domain scan, one wide pair scan, one
-    /// fingerprint fold, all over an L1-resident 32 KiB window, so the
-    /// data crosses the memory bus once. On an out-of-domain entry the
-    /// *first offending absolute index* is returned (identical location
-    /// semantics to the old two-pass `scan_domain`).
+    /// `domain` in the same pass — the fused ingest core. Each 32 KiB
+    /// block is swept once (`scan_block`: domain, both pair compares
+    /// and the fingerprint over the same loaded words), so the data
+    /// crosses the memory bus once; `touch_block_after` asks for the
+    /// head of each page a block early.
+    /// On an out-of-domain entry the *first offending absolute index*
+    /// is returned.
+    ///
+    /// Work: Θ(n). Span: Θ(n).
     pub fn build(data: &[usize], domain: usize) -> Result<BlockSummaries, usize> {
         let mut blocks = Vec::with_capacity(data.len().div_ceil(BLOCK_LEN));
+        let mut checksum = array_seed(data.len());
         for (k, block) in data.chunks(BLOCK_LEN).enumerate() {
+            touch_block_after(data, k);
             let start = k * BLOCK_LEN;
-            if let Some(rel) = first_out_of_domain(block, domain) {
+            let scan = scan_block::<true>(block, domain);
+            if scan.out_of_domain {
+                let rel = first_out_of_domain(block, domain).expect("the sweep flagged this block");
                 return Err(start + rel);
             }
-            blocks.push(summarize(start, block));
+            checksum = checksum.wrapping_add(mix(scan.fingerprint, k));
+            blocks.push(summarize(start, block, &scan));
         }
         Ok(BlockSummaries {
             blocks,
             len: data.len(),
+            checksum,
         })
-    }
-
-    /// Builds summaries without domain validation — the `verify()`
-    /// recompute path, where the domain is checked separately so a
-    /// checksum mismatch can be reported first.
-    pub fn build_unchecked(data: &[usize]) -> BlockSummaries {
-        let mut blocks = Vec::with_capacity(data.len().div_ceil(BLOCK_LEN));
-        for (k, block) in data.chunks(BLOCK_LEN).enumerate() {
-            blocks.push(summarize(k * BLOCK_LEN, block));
-        }
-        BlockSummaries {
-            blocks,
-            len: data.len(),
-        }
     }
 
     /// Number of summarized elements.
@@ -194,10 +408,14 @@ impl BlockSummaries {
 
     /// Rescans exactly the blocks overlapping `dirty` (a half-open
     /// element range) against the current `data`, whose length must be
-    /// unchanged since the summaries were built. Join pairs need no
-    /// rescan: they are re-derived from the refreshed `first`/`last`
-    /// boundary values at combine time. Cost: O(blocks touched) element
-    /// work plus nothing else.
+    /// unchanged since the summaries were built, and patches the
+    /// checksum by `− mix(old) + mix(new)` per rescanned block. Join
+    /// pairs need no rescan: they are re-derived from the refreshed
+    /// `first`/`last` boundary values at verdict time. The domain is the
+    /// caller's to check (`mutate_range` validates the window first).
+    ///
+    /// Work: Θ(Δ + BLOCK_LEN) for a window of Δ elements — independent
+    /// of n and of the block count. Span: the same.
     pub fn rescan(&mut self, data: &[usize], dirty: Range<usize>) {
         debug_assert_eq!(data.len(), self.len, "rescan cannot change length");
         if dirty.start >= dirty.end {
@@ -207,14 +425,22 @@ impl BlockSummaries {
         let last_block = (dirty.end - 1) / BLOCK_LEN;
         for k in first_block..=last_block.min(self.blocks.len().saturating_sub(1)) {
             let start = k * BLOCK_LEN;
-            let end = (start + BLOCK_LEN).min(data.len());
-            self.blocks[k] = summarize(start, &data[start..end]);
+            let block = &data[start..(start + BLOCK_LEN).min(data.len())];
+            let fresh = summarize(start, block, &scan_block::<true>(block, usize::MAX));
+            self.checksum = self
+                .checksum
+                .wrapping_sub(mix(self.blocks[k].fingerprint, k))
+                .wrapping_add(mix(fresh.fingerprint, k));
+            self.blocks[k] = fresh;
         }
     }
 
-    /// The `subsub-fingerprint/v2` combined content checksum, O(blocks).
+    /// The `subsub-fingerprint/v3` content checksum, maintained by
+    /// [`BlockSummaries::build`] and [`BlockSummaries::rescan`].
+    ///
+    /// Work: Θ(1). Span: Θ(1).
     pub fn checksum(&self) -> u64 {
-        combine_fnv(self.len, self.blocks.iter().map(|b| b.fnv))
+        self.checksum
     }
 
     /// Derives the whole-array verdict from the summaries, O(blocks).
@@ -225,6 +451,9 @@ impl BlockSummaries {
     /// first violation is at index ≥ `k * BLOCK_LEN + 1`), so the first
     /// violation reported is the globally first one — bit-identical to
     /// [`crate::inspect_serial`] on the same contents.
+    ///
+    /// Work: Θ(blocks) = Θ(n / BLOCK_LEN), no element read. Span: the
+    /// same (an early exit at the first violating block only helps).
     pub fn verdict(&self) -> MonotoneVerdict {
         let mut eq = false;
         let mut first_violation = None;
@@ -267,6 +496,8 @@ impl BlockSummaries {
     /// join (whose comparison is re-derived from boundary values and can
     /// be skipped), while block interiors always count. Other block
     /// sizes return `None` — callers fall back to the O(n) scan.
+    ///
+    /// Work: Θ(blocks), no element read. Span: the same.
     pub fn block_verdict(&self, b: usize) -> Option<MonotoneVerdict> {
         if b == 0 || !b.is_multiple_of(BLOCK_LEN) {
             return None;
@@ -307,11 +538,17 @@ mod tests {
     use super::*;
     use crate::inspect::inspect_serial;
 
-    // Verdict/checksum tests don't care about domain membership (and a
-    // few use `usize::MAX`, which no exclusive bound admits), so build
-    // without domain validation; `build` is identical plus the scan.
+    // Verdict/checksum tests don't care about domain membership, and a
+    // few use `usize::MAX`, which no exclusive bound admits. `rescan`
+    // never looks at the domain, so summarize through it — and hold the
+    // result against `build` wherever `build` accepts the data.
     fn checked(data: &[usize]) -> BlockSummaries {
-        BlockSummaries::build_unchecked(data)
+        let mut s = BlockSummaries::build(&vec![0; data.len()], 1).unwrap();
+        s.rescan(data, 0..data.len());
+        if !data.contains(&usize::MAX) {
+            assert_eq!(BlockSummaries::build(data, usize::MAX).as_ref(), Ok(&s));
+        }
+        s
     }
 
     #[test]
@@ -422,7 +659,7 @@ mod tests {
 
     #[test]
     fn checksum_is_length_and_content_sensitive() {
-        let c = |d: &[usize]| BlockSummaries::build_unchecked(d).checksum();
+        let c = |d: &[usize]| checked(d).checksum();
         assert_ne!(c(&[0, 1]), c(&[0, 1, 0]));
         assert_ne!(c(&[0, 1]), c(&[1, 0]));
         assert_eq!(c(&[7, 8, 9]), c(&[7, 8, 9]));
@@ -434,6 +671,129 @@ mod tests {
         assert_ne!(c(&big), c(&flipped));
     }
 
+    /// In-domain pseudo-random words, so every lane and every block
+    /// holds something different.
+    fn noise(n: usize, mut x: u64) -> Vec<usize> {
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 1) as usize
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_changed_word_always_changes_the_checksum() {
+        // Every position class of the format: lane 0, lane LANES-1, the
+        // ragged tail, the first and last word of a block, the last
+        // block (long enough for a lane phase) — and a short array with
+        // no lane phase at all.
+        let n = BLOCK_LEN * 2 + LANE_MIN + 2 * LANES + 5;
+        let positions = [
+            0,
+            LANES - 1,
+            LANES,
+            BLOCK_LEN - 1,
+            BLOCK_LEN,
+            BLOCK_LEN + LANES - 1,
+            2 * BLOCK_LEN - 1,
+            2 * BLOCK_LEN,
+            2 * BLOCK_LEN + LANE_MIN + 2 * LANES - 1,
+            2 * BLOCK_LEN + LANE_MIN + 2 * LANES,
+            n - 1,
+        ];
+        let data = noise(n, 0x9e37_79b9_7f4a_7c15);
+        let base = checked(&data).checksum();
+        for at in positions {
+            for delta in [1usize, 1 << 17, 1 << 62] {
+                let mut changed = data.clone();
+                changed[at] ^= delta;
+                assert_ne!(checked(&changed).checksum(), base, "word {at} ^ {delta:#x}");
+            }
+        }
+        let short = noise(LANE_MIN - 1, 7);
+        for at in [0, LANES - 1, LANES, LANE_MIN - 2] {
+            let mut changed = short.clone();
+            changed[at] ^= 1;
+            assert_ne!(checked(&changed).checksum(), checked(&short).checksum());
+        }
+    }
+
+    #[test]
+    fn swapped_words_and_swapped_blocks_change_the_checksum() {
+        let n = BLOCK_LEN * 3 + LANE_MIN + LANES + 3;
+        let data = noise(n, 0x243f_6a88_85a3_08d3);
+        let base = checked(&data).checksum();
+        let swaps = [
+            (3, 3 + LANES),         // same lane, same block
+            (3, 4),                 // neighbouring lanes
+            (0, LANES - 1),         // first and last lane of a row
+            (5, BLOCK_LEN + 5),     // same lane, different blocks
+            (5, 2 * BLOCK_LEN + 9), // different lanes, different blocks
+            (n - 1, n - 2),         // inside the tail
+            (n - 1, 3 * BLOCK_LEN), // tail against lane 0
+        ];
+        for (a, b) in swaps {
+            assert_ne!(data[a], data[b]);
+            let mut swapped = data.clone();
+            swapped.swap(a, b);
+            assert_ne!(checked(&swapped).checksum(), base, "swap {a} <-> {b}");
+        }
+        // Two whole blocks trade places: every block fingerprint is
+        // unchanged, only the position keys tell the arrays apart.
+        let mut blocks = data.clone();
+        let (lo, hi) = blocks.split_at_mut(BLOCK_LEN);
+        lo.swap_with_slice(&mut hi[..BLOCK_LEN]);
+        assert_ne!(checked(&blocks).checksum(), base);
+    }
+
+    #[test]
+    fn zero_padding_and_position_are_told_apart() {
+        let c = |d: &[usize]| checked(d).checksum();
+        for x in [0usize, 1, 12345] {
+            assert_ne!(c(&[x]), c(&[x, 0]));
+            assert_ne!(c(&[x, 0]), c(&[0, x, 0]));
+        }
+        assert_ne!(c(&[7, 0]), c(&[0, 7]));
+        // Same for a lane row, the shortest laned block and a block of
+        // zeros.
+        assert_ne!(c(&vec![0; LANES]), c(&vec![0; LANES + 1]));
+        assert_ne!(c(&vec![0; LANE_MIN - 1]), c(&vec![0; LANE_MIN]));
+        assert_ne!(c(&vec![0; LANE_MIN]), c(&vec![0; LANE_MIN + 1]));
+        assert_ne!(c(&vec![0; BLOCK_LEN]), c(&vec![0; BLOCK_LEN + 1]));
+        assert_ne!(c(&vec![0; BLOCK_LEN]), c(&vec![0; 2 * BLOCK_LEN]));
+    }
+
+    #[test]
+    fn verify_fingerprint_matches_the_maintained_checksum() {
+        for n in [
+            0,
+            1,
+            LANES + 1,
+            LANE_MIN - 1,
+            LANE_MIN,
+            LANE_MIN + LANES + 1,
+            BLOCK_LEN - 1,
+            BLOCK_LEN + 1,
+        ] {
+            let data = noise(n, 99 + n as u64);
+            assert_eq!(
+                fingerprint(&data, usize::MAX),
+                (checked(&data).checksum(), None),
+                "length {n}"
+            );
+        }
+        // The first offender is reported, whichever block it is in.
+        let mut data = noise(BLOCK_LEN + 40, 5);
+        data[BLOCK_LEN + 7] = usize::MAX;
+        data[BLOCK_LEN + 30] = usize::MAX;
+        assert_eq!(fingerprint(&data, usize::MAX).1, Some(BLOCK_LEN + 7));
+        data[9] = usize::MAX;
+        assert_eq!(fingerprint(&data, usize::MAX).1, Some(9));
+    }
+
     #[test]
     fn incremental_checksum_equals_full_rebuild() {
         let n = BLOCK_LEN * 3 + 17;
@@ -442,10 +802,7 @@ mod tests {
         for (at, v) in [(0usize, 5usize), (n - 1, 0), (BLOCK_LEN, 1), (n / 2, 9)] {
             data[at] = v;
             s.rescan(&data, at..at + 1);
-            assert_eq!(
-                s.checksum(),
-                BlockSummaries::build_unchecked(&data).checksum()
-            );
+            assert_eq!(s.checksum(), checked(&data).checksum());
         }
     }
 
@@ -539,10 +896,7 @@ mod tests {
             data[at] = val;
             s.rescan(&data, at..at + 1);
             assert_eq!(s.verdict(), inspect_serial(&data));
-            assert_eq!(
-                s.checksum(),
-                BlockSummaries::build_unchecked(&data).checksum()
-            );
+            assert_eq!(s.checksum(), checked(&data).checksum());
         }
     }
 }

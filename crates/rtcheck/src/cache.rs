@@ -2,15 +2,21 @@
 //!
 //! Inspecting an index array is O(n); re-inspecting it on every kernel
 //! invocation would erase the paper's point that the check amortizes.
-//! The cache keys a verdict on the array's *identity* (name + data
-//! address + length) and its *write-version*: the owning kernel bumps the
-//! version whenever it mutates the array, so a lookup with a stale
-//! version misses (recorded as an invalidation) and triggers
-//! re-inspection, while an unchanged array revalidates in O(1).
+//! For a raw view the cache keys a verdict on the array's *identity*
+//! (name + data address + length) and its *write-version*: the owning
+//! kernel bumps the version whenever it mutates the array, so a lookup
+//! with a stale version misses (recorded as an invalidation) and
+//! triggers re-inspection, while an unchanged array revalidates in O(1).
+//!
+//! An array behind the ingestion trust boundary is keyed on its
+//! *content* instead — (checksum, length, fingerprint version), the
+//! identity the service's `VerdictKey` uses. Name, address and version
+//! say nothing about what a freshly ingested array holds: a new array
+//! under a reused name can land on a freed buffer's address and starts
+//! at version 0 like its predecessor.
 
-use crate::inspect::{
-    inspect_serial, try_inspect_monotone, IndexArrayView, MonotoneReq, MonotoneVerdict,
-};
+use crate::block::FINGERPRINT_VERSION;
+use crate::inspect::{inspect_serial, try_inspect_monotone, IndexArrayView, MonotoneVerdict};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -129,18 +135,41 @@ pub const MEMO_CAPACITY: usize = 1024;
 
 /// Cache identity of one index array.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Key {
-    name: String,
-    addr: usize,
-    len: usize,
+enum Key {
+    /// A raw view: where it lives. Only good together with the
+    /// write-version stored beside the verdict.
+    View {
+        name: String,
+        addr: usize,
+        len: usize,
+    },
+    /// An ingested array: what it holds. The verdict is a function of
+    /// the content, so these entries never go stale (stored version 0).
+    Content { checksum: u64, len: usize, fp: u8 },
 }
 
 impl Key {
     fn of(view: &IndexArrayView<'_>) -> Key {
-        Key {
+        Key::View {
             name: view.name.to_string(),
             addr: view.data.as_ptr() as usize,
             len: view.data.len(),
+        }
+    }
+
+    fn of_ingested(array: &crate::ValidatedIndexArray) -> Key {
+        Key::Content {
+            checksum: array.checksum(),
+            len: array.len(),
+            fp: FINGERPRINT_VERSION,
+        }
+    }
+
+    /// Label and element count for the eviction event.
+    fn describe(&self) -> (&str, usize) {
+        match self {
+            Key::View { name, len, .. } => (name, *len),
+            Key::Content { len, .. } => ("ingested", *len),
         }
     }
 }
@@ -214,40 +243,12 @@ impl InspectorCache {
     ) -> Result<MonotoneVerdict, RegionError> {
         let key = Key::of(view);
         let _lookup_span = telemetry::span_labeled(Phase::CacheLookup, view.name);
-        {
-            let mut entries = lock(&self.entries);
-            match entries.get(&key) {
-                Some((ver, verdict)) if *ver == view.version => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    telemetry::instant_labeled(
-                        EventKind::CacheHit,
-                        Phase::CacheLookup,
-                        view.name,
-                        view.version,
-                    );
-                    return Ok(*verdict);
-                }
-                Some(_) => {
-                    self.invalidations.fetch_add(1, Ordering::Relaxed);
-                    telemetry::instant_labeled(
-                        EventKind::CacheInvalidate,
-                        Phase::CacheLookup,
-                        view.name,
-                        view.version,
-                    );
-                }
-                None => {}
-            }
+        if let Some(verdict) = self.lookup(&key, view.name, view.version) {
+            return Ok(verdict);
         }
         // Inspect outside the lock: scans can be long and parallel. The
         // `?` is the poisoning fix: no insert on a faulted scan.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        telemetry::instant_labeled(
-            EventKind::CacheMiss,
-            Phase::CacheLookup,
-            view.name,
-            view.data.len() as u64,
-        );
+        self.note_miss(view.name, view.data.len());
         let verdict = {
             let _inspect_span = telemetry::span_labeled(Phase::Inspect, view.name);
             try_inspect_monotone(view.data, pool)?
@@ -257,84 +258,74 @@ impl InspectorCache {
     }
 
     /// Returns the verdict for an array living behind the ingestion
-    /// trust boundary, serving a miss from the array's block summaries
-    /// in O(blocks) instead of rescanning O(n) elements.
+    /// trust boundary, memoized on the array's *content identity* and
+    /// served on a miss from its block summaries in O(blocks) instead
+    /// of rescanning O(n) elements.
     ///
-    /// Soundness: the boundary rebuilds or rescans the summaries
-    /// atomically with every write-version bump, so at any version the
-    /// summaries describe exactly the contents the version names — the
-    /// dirty-window bookkeeping of `mutate_range` guarantees untouched
-    /// blocks' summaries are still current. Callers defending against
-    /// *bypassing* writers (who change neither version nor summaries)
-    /// must pair this with [`ValidatedIndexArray::verify`], which
-    /// recomputes from raw data — exactly what the guard does before
-    /// decide/dispatch.
+    /// Soundness: the boundary rebuilds or rescans the summaries — and
+    /// the checksum they carry — atomically with every write-version
+    /// bump, so checksum and summaries always describe the same
+    /// contents; two arrays share an entry only when their (checksum,
+    /// length) agree. Callers defending against *bypassing* writers (who
+    /// change neither checksum nor summaries) must pair this with
+    /// [`ValidatedIndexArray::verify`], which recomputes from raw data —
+    /// exactly what the guard does before decide/dispatch.
     ///
     /// [`ValidatedIndexArray::verify`]: crate::ValidatedIndexArray::verify
-    pub fn verdict_ingested(
-        &self,
-        array: &crate::ValidatedIndexArray,
-        required: MonotoneReq,
-    ) -> MonotoneVerdict {
-        let view = array.view(required);
-        let key = Key::of(&view);
-        let _lookup_span = telemetry::span_labeled(Phase::CacheLookup, view.name);
-        {
-            let mut entries = lock(&self.entries);
-            match entries.get(&key) {
-                Some((ver, verdict)) if *ver == view.version => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    telemetry::instant_labeled(
-                        EventKind::CacheHit,
-                        Phase::CacheLookup,
-                        view.name,
-                        view.version,
-                    );
-                    return *verdict;
-                }
-                Some(_) => {
-                    self.invalidations.fetch_add(1, Ordering::Relaxed);
-                    telemetry::instant_labeled(
-                        EventKind::CacheInvalidate,
-                        Phase::CacheLookup,
-                        view.name,
-                        view.version,
-                    );
-                }
-                None => {}
-            }
+    pub fn verdict_ingested(&self, array: &crate::ValidatedIndexArray) -> MonotoneVerdict {
+        let key = Key::of_ingested(array);
+        let _lookup_span = telemetry::span_labeled(Phase::CacheLookup, array.name());
+        if let Some(verdict) = self.lookup(&key, array.name(), 0) {
+            return verdict;
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        telemetry::instant_labeled(
-            EventKind::CacheMiss,
-            Phase::CacheLookup,
-            view.name,
-            view.data.len() as u64,
-        );
+        self.note_miss(array.name(), array.len());
         let verdict = {
-            let _reinspect_span = telemetry::span_labeled(Phase::Reinspect, view.name);
+            let _reinspect_span = telemetry::span_labeled(Phase::Reinspect, array.name());
             array.summary_verdict()
         };
-        self.insert(key, view.version, verdict);
+        self.insert(key, 0, verdict);
         verdict
     }
 
     /// Inspects `view` with the infallible serial scan and memoizes the
     /// result — the final rung of the guard's retry ladder.
     pub fn verdict_serial(&self, view: &IndexArrayView<'_>) -> MonotoneVerdict {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        telemetry::instant_labeled(
-            EventKind::CacheMiss,
-            Phase::CacheLookup,
-            view.name,
-            view.data.len() as u64,
-        );
+        self.note_miss(view.name, view.data.len());
         let verdict = {
             let _inspect_span = telemetry::span_labeled(Phase::Inspect, view.name);
             inspect_serial(view.data)
         };
         self.insert(Key::of(view), view.version, verdict);
         verdict
+    }
+
+    /// Serves `key` when its entry was recorded at `version`; an entry
+    /// at another version is counted as an invalidation and left for
+    /// the caller's insert to replace.
+    fn lookup(&self, key: &Key, name: &str, version: u64) -> Option<MonotoneVerdict> {
+        match lock(&self.entries).get(key) {
+            Some((ver, verdict)) if *ver == version => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                telemetry::instant_labeled(EventKind::CacheHit, Phase::CacheLookup, name, version);
+                Some(*verdict)
+            }
+            Some(_) => {
+                self.invalidations.fetch_add(1, Ordering::Relaxed);
+                telemetry::instant_labeled(
+                    EventKind::CacheInvalidate,
+                    Phase::CacheLookup,
+                    name,
+                    version,
+                );
+                None
+            }
+            None => None,
+        }
+    }
+
+    fn note_miss(&self, name: &str, len: usize) {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        telemetry::instant_labeled(EventKind::CacheMiss, Phase::CacheLookup, name, len as u64);
     }
 
     fn insert(&self, key: Key, version: u64, verdict: MonotoneVerdict) {
@@ -364,11 +355,12 @@ impl InspectorCache {
     fn insert_noting_eviction(&self, key: Key, entry: (u64, MonotoneVerdict)) {
         let evicted = lock(&self.entries).insert(key, entry);
         if let Some(victim) = evicted {
+            let (label, len) = victim.describe();
             telemetry::instant_labeled(
                 EventKind::CacheEvict,
                 Phase::CacheLookup,
-                &victim.name,
-                victim.len as u64,
+                label,
+                len as u64,
             );
         }
     }

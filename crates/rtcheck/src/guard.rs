@@ -316,7 +316,7 @@ impl GuardedExecutor {
         }
         let mut inspected = Vec::with_capacity(arrays.len());
         for (array, required) in arrays {
-            let verdict = self.cache.verdict_ingested(array, *required);
+            let verdict = self.cache.verdict_ingested(array);
             inspected.push((array.name().to_string(), array.version()));
             if !verdict.satisfies(*required) {
                 self.inspection_failures.fetch_add(1, Ordering::Relaxed);
@@ -713,6 +713,54 @@ mod tests {
         assert_eq!(d.verdict.path, GuardPath::Parallel);
         assert_eq!(d.inspected, vec![("b".to_string(), 0)]);
         assert_eq!(e.stats().validation_rejections, 0);
+    }
+
+    #[test]
+    fn a_new_array_in_a_reused_buffer_is_inspected_afresh() {
+        // Name, address, length and version (0) all equal the first
+        // array's; only the content differs. The memo must not answer
+        // for the second array with the first one's verdict.
+        let e = GuardedExecutor::new(None).unwrap();
+        let provenance = || crate::validate::Provenance::Untrusted {
+            source: "test".into(),
+        };
+        let n = 3 * crate::block::BLOCK_LEN / 2;
+        let mut first =
+            ValidatedIndexArray::ingest("idx", (0..n).collect(), n, provenance()).unwrap();
+        let req = MonotoneReq::Strict;
+        let d = e.decide_ingested("k", &Bindings::new(), &[(&first, req)], None);
+        assert_eq!(d.verdict.path, GuardPath::Parallel);
+        // Take the buffer out of the first array, drop the array, write
+        // a non-monotone array of the same length into the same
+        // allocation and ingest that under the same name.
+        let mut buffer = Vec::new();
+        first.mutate(|data| buffer = std::mem::take(data)).unwrap();
+        drop(first);
+        let address = buffer.as_ptr();
+        buffer[n - 7] = 0;
+        let second = ValidatedIndexArray::ingest("idx", buffer, n, provenance()).unwrap();
+        assert_eq!(
+            (second.data().as_ptr(), second.len(), second.version()),
+            (address, n, 0)
+        );
+        let d = e.decide_ingested("k", &Bindings::new(), &[(&second, req)], None);
+        assert_eq!(d.verdict.path, GuardPath::Serial);
+        assert_eq!(
+            d.verdict.reason,
+            Some(ExecError::NotMonotone {
+                array: "idx".into(),
+                required: req,
+                first_violation: Some(n - 7),
+            })
+        );
+        // Equal content is one entry, wherever it lives and whatever it
+        // is called.
+        let twin =
+            ValidatedIndexArray::ingest("other", second.data().to_vec(), n, provenance()).unwrap();
+        let hits = e.stats().cache.hits;
+        let d = e.decide_ingested("k", &Bindings::new(), &[(&twin, req)], None);
+        assert_eq!(d.verdict.path, GuardPath::Serial);
+        assert_eq!(e.stats().cache.hits, hits + 1);
     }
 
     #[test]

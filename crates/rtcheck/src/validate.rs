@@ -23,13 +23,13 @@
 //!   content checksum, and both roll back a mutation that would leave
 //!   the array out of domain;
 //! * **verification** ([`ValidatedIndexArray::verify`]) re-checks the
-//!   checksum and domain *from the raw data*, catching out-of-band
-//!   writers that bypassed the boundary (the hostile-writer model of
-//!   the PR 3 tamper tests).
+//!   checksum and domain *from the raw data* in one read, catching
+//!   out-of-band writers that bypassed the boundary (the hostile-writer
+//!   model of the PR 3 tamper tests).
 //!
 //! Since PR 7 the boundary also maintains per-block summaries
 //! ([`crate::block::BlockSummaries`]) in lockstep with the contents:
-//! ingestion builds them in the same pass as domain validation and the
+//! ingestion builds them in the same loop as domain validation and the
 //! checksum, and `mutate_range` rescans only the dirty blocks. That is
 //! what makes [`ValidatedIndexArray::summary_verdict`] an O(blocks)
 //! whole-array monotonicity verdict — sound exactly because every
@@ -41,7 +41,7 @@
 //! The array also carries a [`Provenance`] tag so a rejection or a
 //! divergence report can say *where* the bytes came from.
 
-use crate::block::{first_out_of_domain, BlockSummaries};
+use crate::block::{fingerprint, first_out_of_domain, BlockSummaries};
 use crate::inspect::{IndexArrayView, MonotoneReq, MonotoneVerdict};
 use std::fmt;
 use std::ops::Range;
@@ -151,12 +151,11 @@ pub struct ValidatedIndexArray {
     /// the target array the subscripts index into.
     domain: usize,
     version: u64,
-    checksum: u64,
     provenance: Provenance,
     /// Per-block summaries, kept in lockstep with `data` by every
-    /// sanctioned write path. `checksum` is always
-    /// `summaries.checksum()` — the `subsub-fingerprint/v2` combined
-    /// value (an integrity fingerprint, not a cryptographic MAC).
+    /// sanctioned write path. They carry the content checksum — the
+    /// `subsub-fingerprint/v3` value of the last validated state (an
+    /// integrity fingerprint, not a cryptographic MAC).
     summaries: BlockSummaries,
 }
 
@@ -174,12 +173,12 @@ impl ValidatedIndexArray {
     /// index into) and takes ownership. The only constructor: there is no
     /// way to hold a `ValidatedIndexArray` with an out-of-domain entry.
     ///
-    /// Ingestion is a fused single pass: the domain scan, the content
-    /// fingerprint, and the per-block monotonicity summaries are all
-    /// computed block-by-block over one traversal of the data, so the
-    /// bytes cross the memory bus once instead of twice. An
-    /// out-of-domain entry is reported at its first offending index —
-    /// the same location semantics the old two-pass scan had.
+    /// Ingestion is one loop per block: the domain compare, the content
+    /// fingerprint and the per-block monotonicity flags are all taken
+    /// from the same loaded words ([`BlockSummaries::build`]). An
+    /// out-of-domain entry is reported at its first offending index.
+    ///
+    /// Work: Θ(n). Span: Θ(n).
     pub fn ingest(
         name: impl Into<String>,
         data: Vec<usize>,
@@ -189,13 +188,11 @@ impl ValidatedIndexArray {
         let name = name.into();
         let summaries = BlockSummaries::build(&data, domain)
             .map_err(|index| out_of_domain(&name, &data, index, domain))?;
-        let checksum = summaries.checksum();
         Ok(ValidatedIndexArray {
             name,
             data,
             domain,
             version: 0,
-            checksum,
             provenance,
             summaries,
         })
@@ -240,8 +237,10 @@ impl ValidatedIndexArray {
     /// kind), which is what lets verdicts be shared across requests —
     /// and across processes via warm-start snapshots — without ever
     /// trusting a verdict for content that drifted.
+    ///
+    /// Work: Θ(1). Span: Θ(1).
     pub fn checksum(&self) -> u64 {
-        self.checksum
+        self.summaries.checksum()
     }
 
     /// A stable 64-bit tag of the provenance, for content-addressed
@@ -289,6 +288,8 @@ impl ValidatedIndexArray {
     /// dependence property: a mutation may freely break monotonicity —
     /// detecting that is the inspector's job, and the version bump
     /// guarantees it re-runs.
+    ///
+    /// Work: Θ(n) (snapshot + re-ingest) plus the closure. Span: Θ(n).
     pub fn mutate(&mut self, f: impl FnOnce(&mut Vec<usize>)) -> Result<(), ValidationError> {
         let snapshot = self.data.clone();
         f(&mut self.data);
@@ -300,7 +301,6 @@ impl ValidatedIndexArray {
             }
             Ok(summaries) => {
                 self.version += 1;
-                self.checksum = summaries.checksum();
                 self.summaries = summaries;
                 Ok(())
             }
@@ -308,12 +308,11 @@ impl ValidatedIndexArray {
     }
 
     /// Mutates `data[range]` in place through the trust boundary, paying
-    /// O(Δ + blocks) instead of O(n): only the touched window is
-    /// snapshotted for rollback and re-validated against the domain,
-    /// only the blocks overlapping it are rescanned, and the whole-array
-    /// checksum and verdict are re-derived by recombining summaries. A
-    /// single-element write into a 1 Mi-element array costs one 4 Ki
-    /// block rescan plus an O(256) recombine.
+    /// O(Δ) instead of O(n): only the touched window is snapshotted for
+    /// rollback and re-validated against the domain, only the blocks
+    /// overlapping it are rescanned, and the whole-array checksum is
+    /// patched per rescanned block. A single-element write into an
+    /// array of any size costs one 4 Ki block rescan.
     ///
     /// The closure sees exactly `&mut data[range]` — it cannot write
     /// outside the declared window, which is what makes the dirty-window
@@ -321,6 +320,9 @@ impl ValidatedIndexArray {
     /// describes its contents. A mutation that would leave an
     /// out-of-domain entry in the window is rolled back and reported at
     /// its first offending (absolute) index.
+    ///
+    /// Work: Θ(Δ + BLOCK_LEN) plus the closure, independent of n.
+    /// Span: the same.
     ///
     /// # Panics
     ///
@@ -347,7 +349,6 @@ impl ValidatedIndexArray {
         }
         self.version += 1;
         self.summaries.rescan(&self.data, lo..hi);
-        self.checksum = self.summaries.checksum();
         Ok(())
     }
 
@@ -360,6 +361,8 @@ impl ValidatedIndexArray {
     /// *last validated state*: callers that must defend against
     /// bypassing writers pair it with a fresh
     /// [`ValidatedIndexArray::verify`], which recomputes from raw data.
+    ///
+    /// Work: Θ(blocks) = Θ(n / BLOCK_LEN). Span: the same.
     pub fn summary_verdict(&self) -> MonotoneVerdict {
         self.summaries.verdict()
     }
@@ -379,14 +382,20 @@ impl ValidatedIndexArray {
     /// [`ValidatedIndexArray::mutate_range`] — the hostile-writer
     /// scenario the guard must refuse to dispatch on. Deliberately O(n):
     /// this is the tamper gate, and it never trusts the summaries it is
-    /// being asked to vouch for.
+    /// being asked to vouch for — one read of the data yields the
+    /// fingerprint and the domain flag, no pair is compared and nothing
+    /// is built. A checksum mismatch is reported before an
+    /// out-of-domain entry.
+    ///
+    /// Work: Θ(n). Span: Θ(n).
     pub fn verify(&self) -> Result<(), ValidationError> {
-        if BlockSummaries::build_unchecked(&self.data).checksum() != self.checksum {
+        let (recomputed, offender) = fingerprint(&self.data, self.domain);
+        if recomputed != self.checksum() {
             return Err(ValidationError::ChecksumMismatch {
                 array: self.name.clone(),
             });
         }
-        match first_out_of_domain(&self.data, self.domain) {
+        match offender {
             Some(index) => Err(out_of_domain(&self.name, &self.data, index, self.domain)),
             None => Ok(()),
         }
@@ -694,12 +703,12 @@ mod tests {
     #[test]
     fn summary_verdict_property_matches_serial_under_seeded_mutations() {
         use crate::block::BLOCK_LEN;
-        let n = BLOCK_LEN + 700;
+        let n = 2 * BLOCK_LEN + 700;
         let mut a =
             ValidatedIndexArray::ingest("b", (0..n).collect::<Vec<_>>(), 2 * n, untrusted())
                 .unwrap();
         let mut x = 0x243f_6a88_85a3_08d3u64;
-        for step in 0..120 {
+        for step in 0..200 {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
@@ -712,8 +721,34 @@ mod tests {
                 "step {step}: wrote {val} at {at}"
             );
             assert_eq!(a.version(), step + 1);
+            // The patched checksum is the checksum of the contents.
+            let fresh =
+                ValidatedIndexArray::ingest("b", a.data().to_vec(), 2 * n, untrusted()).unwrap();
+            assert_eq!(a.checksum(), fresh.checksum(), "step {step}");
+            assert!(a.verify().is_ok(), "step {step}");
         }
-        assert!(a.verify().is_ok());
+    }
+
+    #[test]
+    fn a_bypassing_write_anywhere_is_a_checksum_mismatch() {
+        use crate::block::{BLOCK_LEN, LANES};
+        let n = 2 * BLOCK_LEN + LANES + 9;
+        let mut a =
+            ValidatedIndexArray::ingest("b", (0..n).collect::<Vec<_>>(), n, untrusted()).unwrap();
+        let mismatch = Err(ValidationError::ChecksumMismatch { array: "b".into() });
+        for at in [0, LANES - 1, BLOCK_LEN - 1, BLOCK_LEN, 2 * BLOCK_LEN, n - 1] {
+            let was = a.data()[at];
+            // In domain or not, drift is reported before the domain.
+            for smuggled in [was ^ 1, n, usize::MAX] {
+                a.bypass_validation_mut()[at] = smuggled;
+                assert_eq!(a.verify(), mismatch, "{smuggled} at {at}");
+            }
+            a.bypass_validation_mut()[at] = was;
+            assert!(a.verify().is_ok(), "restored {at}");
+        }
+        // Two in-domain words trading places is drift too.
+        a.bypass_validation_mut().swap(3, 3 + LANES);
+        assert_eq!(a.verify(), mismatch);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! shards of monotonicity verdicts keyed by content checksum +
 //! provenance + inspector kind, replacing the per-executor
 //! identity-keyed memo for the multi-tenant case. Verdicts persist
-//! across restarts via the `subsub-cache/v1` snapshot
+//! across restarts via the `subsub-cache/v3` snapshot
 //! ([`snapshot`]) — versioned, digest-validated, rejected wholesale on
 //! any corruption, and never trusted for dispatch without the
 //! executor's write-version tamper gate re-validating the live arrays.

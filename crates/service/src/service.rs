@@ -383,6 +383,9 @@ impl Inner {
         if job.probe {
             self.quarantine.abort_probe(job.poison_key);
         }
+        // Counted before it is handed over: a client that holds its
+        // response finds it in `stats().completed`.
+        self.completed.fetch_add(1, Ordering::Relaxed);
         job.slot.fulfill(Response {
             result: Err(doom.error()),
             telemetry: RequestTelemetry {
@@ -390,7 +393,6 @@ impl Inner {
                 ..RequestTelemetry::default()
             },
         });
-        self.completed.fetch_add(1, Ordering::Relaxed);
         self.release_accounting(&job.request.client);
     }
 
@@ -666,8 +668,8 @@ impl Inner {
                     serialized,
                 },
             };
-            job.slot.fulfill(response);
             self.completed.fetch_add(1, Ordering::Relaxed);
+            job.slot.fulfill(response);
             self.release_accounting(&job.request.client);
         }
     }
@@ -905,7 +907,7 @@ impl AnalysisService {
         })
     }
 
-    /// Serializes the verdict cache as a `subsub-cache/v2` document.
+    /// Serializes the verdict cache as a `subsub-cache/v3` document.
     pub fn snapshot(&self) -> String {
         snapshot::write_snapshot(&self.inner.cache)
     }

@@ -10,7 +10,7 @@
 //! and the inspector kind ([`VerdictKey`]). Two requests carrying
 //! bit-identical arrays share one verdict no matter where the bytes
 //! live — and, because the key is position-independent, verdicts
-//! survive across processes via the `subsub-cache/v2` snapshot
+//! survive across processes via the `subsub-cache/v3` snapshot
 //! ([`crate::snapshot`]).
 //!
 //! Three properties the service relies on:

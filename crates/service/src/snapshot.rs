@@ -1,4 +1,4 @@
-//! `subsub-cache/v2`: the warm-start snapshot of the sharded verdict
+//! `subsub-cache/v3`: the warm-start snapshot of the sharded verdict
 //! cache.
 //!
 //! The snapshot is a versioned JSON document carrying the cache's
@@ -23,13 +23,13 @@ use subsub_rtcheck::{MonotoneVerdict, FINGERPRINT_VERSION};
 use subsub_telemetry::json::{self, Json};
 
 /// Magic/version tag of the format this module reads and writes. The
-/// v1→v2 bump tracks the `subsub-fingerprint/v1→v2` checksum change:
-/// a v1 snapshot's keys were computed under the byte-wise fingerprint
-/// and can never match a key this build computes, so v1 documents are
+/// number tracks the content fingerprint's ([`FINGERPRINT_VERSION`]): an
+/// older snapshot's keys were computed under a retired fingerprint and
+/// can never match a key this build computes, so older documents are
 /// rejected cleanly ([`SnapshotError::WrongVersion`] — the service
 /// starts cold and rebuilds, it never panics and never serves a
 /// cross-scheme verdict).
-pub const SNAPSHOT_VERSION: &str = "subsub-cache/v2";
+pub const SNAPSHOT_VERSION: &str = "subsub-cache/v3";
 
 /// Why a snapshot was rejected. Every variant means "start cold".
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,8 +39,8 @@ pub enum SnapshotError {
         /// Parser diagnostic.
         detail: String,
     },
-    /// Parsed, but not a `subsub-cache/v2` document (v1 and every
-    /// other version land here).
+    /// Parsed, but not a [`SNAPSHOT_VERSION`] document (every older
+    /// and every unknown version lands here).
     WrongVersion {
         /// What the document claimed.
         found: String,
@@ -109,7 +109,7 @@ fn canonical_line(key: &VerdictKey, v: &MonotoneVerdict) -> String {
     )
 }
 
-/// Serializes the cache's resident entries as a `subsub-cache/v2`
+/// Serializes the cache's resident entries as a `subsub-cache/v3`
 /// document. Entries are sorted by key so the output is deterministic.
 pub fn write_snapshot(cache: &ShardedVerdictCache) -> String {
     let mut entries = cache.entries();
@@ -177,7 +177,7 @@ fn num_bool(j: &Json, field: &str, index: usize) -> Result<bool, SnapshotError> 
     }
 }
 
-/// Parses and validates a `subsub-cache/v2` document into
+/// Parses and validates a `subsub-cache/v3` document into
 /// (key, verdict) pairs. Strict: any defect rejects the whole snapshot.
 pub fn parse_snapshot(text: &str) -> Result<Vec<(VerdictKey, MonotoneVerdict)>, SnapshotError> {
     let doc = json::parse(text).map_err(|e| SnapshotError::Malformed {
@@ -404,35 +404,44 @@ mod tests {
     }
 
     #[test]
-    fn v1_snapshots_are_rejected_cleanly() {
-        // A well-formed document in the retired v1 format: pre-fp
-        // entries, byte-wise-fingerprint keys. Loading must fail with
-        // WrongVersion (cold rebuild), not panic and not install
-        // entries whose checksums no current array can ever match.
+    fn retired_snapshot_versions_are_rejected_cleanly() {
+        // Well-formed documents in the retired formats: v1 (pre-fp
+        // entries, byte-wise fingerprint keys) and v2 (word-folded FNV
+        // keys). Loading must fail with WrongVersion (cold rebuild), not
+        // panic and not install entries whose checksums no current
+        // array can ever match.
         let v1 = "{\n  \"version\": \"subsub-cache/v1\",\n  \"digest\": \"0000000000000000\",\n  \
                   \"entries\": [\n    {\"checksum\": \"00000000deadbeef\", \"len\": 3, \
                   \"provenance\": \"0000000000000002\", \"kind\": 0, \"nonstrict\": true, \
                   \"strict\": true, \"first_violation\": -1, \"vlen\": 3}\n  ]\n}\n";
-        let cache = ShardedVerdictCache::new(2, 8);
-        assert_eq!(
-            load_snapshot(&cache, v1),
-            Err(SnapshotError::WrongVersion {
-                found: "subsub-cache/v1".into()
-            })
-        );
-        assert_eq!(cache.stats().entries, 0, "cache must stay cold");
+        let v2 = "{\n  \"version\": \"subsub-cache/v2\",\n  \"digest\": \"0000000000000000\",\n  \
+                  \"entries\": [\n    {\"checksum\": \"00000000deadbeef\", \"len\": 3, \
+                  \"provenance\": \"0000000000000002\", \"kind\": 0, \"fp\": 2, \
+                  \"nonstrict\": true, \"strict\": true, \"first_violation\": -1, \
+                  \"vlen\": 3}\n  ]\n}\n";
+        for (doc, version) in [(v1, "subsub-cache/v1"), (v2, "subsub-cache/v2")] {
+            let cache = ShardedVerdictCache::new(2, 8);
+            assert_eq!(
+                load_snapshot(&cache, doc),
+                Err(SnapshotError::WrongVersion {
+                    found: version.into()
+                })
+            );
+            assert_eq!(cache.stats().entries, 0, "cache must stay cold");
+        }
     }
 
     #[test]
     fn unknown_fingerprint_scheme_is_rejected() {
-        // A hypothetical v3 fingerprint inside an otherwise-valid v2
-        // document: the entry gate must refuse it even before the
-        // digest could vouch for it.
+        // The retired word-folded fingerprint inside an otherwise-valid
+        // current document: the entry gate must refuse it even before
+        // the digest could vouch for it.
         let doc = format!(
             "{{\"version\": \"{SNAPSHOT_VERSION}\", \"digest\": \"0000000000000000\", \"entries\": [\
              {{\"checksum\": \"0000000000000001\", \"len\": 4, \"provenance\": \"0000000000000002\", \
-             \"kind\": 0, \"fp\": 3, \"nonstrict\": true, \"strict\": true, \
-             \"first_violation\": -1, \"vlen\": 4}}]}}"
+             \"kind\": 0, \"fp\": {}, \"nonstrict\": true, \"strict\": true, \
+             \"first_violation\": -1, \"vlen\": 4}}]}}",
+            FINGERPRINT_VERSION - 1
         );
         match parse_snapshot(&doc) {
             Err(SnapshotError::BadEntry { detail, .. }) => {

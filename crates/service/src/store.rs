@@ -1,6 +1,6 @@
 //! Crash-consistent on-disk persistence for the verdict-cache snapshot.
 //!
-//! The in-memory `subsub-cache/v2` document ([`crate::snapshot`]) is
+//! The in-memory `subsub-cache/v3` document ([`crate::snapshot`]) is
 //! already self-validating — versioned, digest-checked, rejected
 //! wholesale on any corruption. This module gives it a durable home
 //! with the classic two-generation scheme:
@@ -244,7 +244,18 @@ impl SnapshotStore {
 mod tests {
     use super::*;
     use crate::shard::{InspectorKind, VerdictKey};
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard};
     use subsub_rtcheck::{Provenance, ValidatedIndexArray};
+
+    /// Failpoints arm process-wide and the test harness runs these tests
+    /// on parallel threads: the one test that injects faults into the
+    /// save path holds this exclusively, the ones that expect their own
+    /// saves and loads to go through hold it shared.
+    static FAULTS: RwLock<()> = RwLock::new(());
+
+    fn no_faults() -> RwLockReadGuard<'static, ()> {
+        FAULTS.read().unwrap_or_else(PoisonError::into_inner)
+    }
 
     fn scratch_dir(tag: &str) -> PathBuf {
         static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -274,6 +285,7 @@ mod tests {
 
     #[test]
     fn save_load_round_trips_and_keeps_a_fallback_generation() {
+        let _quiet = no_faults();
         let dir = scratch_dir("roundtrip");
         let store = SnapshotStore::open(&dir).expect("open");
         store.save(&cache_with(3)).expect("first save");
@@ -287,6 +299,7 @@ mod tests {
 
     #[test]
     fn torn_head_at_every_boundary_falls_back_or_rebuilds_cold() {
+        let _quiet = no_faults();
         let dir = scratch_dir("torn");
         let store = SnapshotStore::open(&dir).expect("open");
         store.save(&cache_with(3)).expect("gen 1");
@@ -333,6 +346,7 @@ mod tests {
 
     #[test]
     fn torn_head_never_evicts_the_good_previous_generation_on_save() {
+        let _quiet = no_faults();
         let dir = scratch_dir("rotate");
         let store = SnapshotStore::open(&dir).expect("open");
         store.save(&cache_with(3)).expect("gen 1");
@@ -355,6 +369,7 @@ mod tests {
 
     #[test]
     fn missing_directory_contents_recover_cold() {
+        let _quiet = no_faults();
         let dir = scratch_dir("cold");
         let store = SnapshotStore::open(&dir).expect("open");
         let fresh = ShardedVerdictCache::new(2, 16);
@@ -365,6 +380,7 @@ mod tests {
     #[test]
     fn injected_faults_abort_saves_without_losing_generations() {
         use subsub_failpoint::{arm, Arm, FailPlan, Fire};
+        let _alone = FAULTS.write().unwrap_or_else(PoisonError::into_inner);
         let dir = scratch_dir("inject");
         let store = SnapshotStore::open(&dir).expect("open");
         store.save(&cache_with(3)).expect("gen 1");

@@ -17,7 +17,9 @@
 # Every `==` step is wall-clock timed and appended to ci-report.json
 # (schema subsub-ci-report/v1): one row per step with its tier, elapsed
 # seconds and pass/fail. The report is flushed even when a step fails,
-# and the failure summary names the failing step.
+# and the failure summary names the failing step. It also carries
+# `net_lines`: lines added minus lines removed under each crate by the
+# change under test (ROADMAP item 4 wants the simplification counted).
 #
 # Knobs (environment):
 #   SUBSUB_FUZZ_CASES    scales fuzz campaign volume (default 200-ish;
@@ -41,9 +43,32 @@ elapsed_s() { # elapsed_s T0_NANOS -> seconds with ms precision
   awk "BEGIN{printf \"%.3f\", ($(date +%s%N) - $1) / 1e9}"
 }
 
+# The change under test is the working tree against HEAD while anything
+# under crates/ is uncommitted (untracked files included), and HEAD
+# against its parent once it is committed. Zeros outside a git checkout.
+net_lines_json() {
+  local base=HEAD crate out=""
+  if git diff --quiet HEAD -- crates 2>/dev/null &&
+     [ -z "$(git ls-files --others --exclude-standard crates 2>/dev/null)" ]; then
+    base=HEAD~1
+  fi
+  for crate in crates/*/; do
+    crate=${crate%/}
+    local n
+    n=$({ git diff --numstat "$base" -- "$crate" 2>/dev/null
+          git ls-files --others --exclude-standard "$crate" 2>/dev/null |
+            while read -r f; do printf '%s\t0\n' "$(wc -l < "$f")"; done
+        } | awk '{n += $1 - $2} END {print n + 0}')
+    [ -n "$out" ] && out+=","
+    out+=$(printf '"%s":%s' "${crate#crates/}" "$n")
+  done
+  printf '{%s}' "$out"
+}
+NET_LINES_JSON=$(net_lines_json)
+
 flush_report() { # flush_report pass|fail
-  printf '{"schema":"subsub-ci-report/v1","mode":"%s","result":"%s","total_seconds":%s,"steps":[%s]}\n' \
-    "$MODE" "$1" "$(elapsed_s "$SUITE_T0")" "$STEPS_JSON" > "$REPORT"
+  printf '{"schema":"subsub-ci-report/v1","mode":"%s","result":"%s","total_seconds":%s,"net_lines":%s,"steps":[%s]}\n' \
+    "$MODE" "$1" "$(elapsed_s "$SUITE_T0")" "$NET_LINES_JSON" "$STEPS_JSON" > "$REPORT"
 }
 
 run_step() { # run_step TIER NAME CMD...

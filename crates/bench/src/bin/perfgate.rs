@@ -6,7 +6,8 @@
 //! ```
 //!
 //! Runs the pinned micro-suite (fork-join latency, inspector
-//! throughput, three representative serial kernels) and compares each
+//! throughput, representative serial kernels, the `Execute` epilogue
+//! inline and pooled, with bytes/s beside ns) and compares each
 //! median against the committed `BENCH_baseline.json`. A median beyond
 //! baseline × (1 + tolerance) fails the gate; one beyond the band in
 //! the fast direction only warns, with a suggestion to refresh the

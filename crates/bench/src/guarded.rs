@@ -144,7 +144,7 @@ impl GuardedHarness {
                     inst.run(variant, pool, sched);
                 }));
                 match r {
-                    Ok(()) => Ok(inst.checksum()),
+                    Ok(()) => Ok(inst.checksum_on(Some(pool))),
                     Err(p) => Err(classify_panic(p.as_ref())),
                 }
             },

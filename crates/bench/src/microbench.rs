@@ -28,9 +28,27 @@ pub struct BenchStats {
     pub p90_ns: u128,
     /// All samples (ns/iter), sorted ascending.
     pub samples_ns: Vec<u128>,
+    /// Bytes one iteration moves, for a bandwidth-bound entry: computed
+    /// from its sizes, not measured.
+    pub bytes: Option<usize>,
 }
 
 impl BenchStats {
+    /// Records the bytes one iteration moves and prints the rate beside
+    /// the latency [`bench`] printed.
+    pub fn moving(mut self, bytes: usize) -> BenchStats {
+        self.bytes = Some(bytes);
+        let rate = self.bytes_per_s().unwrap_or(0) as f64 / 1e9;
+        println!("{:<48} {rate:>9.2} GB/s", "");
+        self
+    }
+
+    /// Bytes per second at the median, when [`BenchStats::bytes`] is set.
+    pub fn bytes_per_s(&self) -> Option<u64> {
+        let per_s = self.bytes? as u128 * 1_000_000_000 / self.median_ns.max(1);
+        Some(u64::try_from(per_s).unwrap_or(u64::MAX))
+    }
+
     /// The stats as one flat JSON object (hand-rolled: the workspace has
     /// no serde). The key names match what `MachineCalibration`-style
     /// scanners and the `BENCH_*.json` consumers expect.
@@ -90,6 +108,7 @@ pub fn bench(name: &str, mut f: impl FnMut()) -> BenchStats {
         median_ns: samples[SAMPLES / 2],
         p90_ns: samples[(SAMPLES * 9) / 10],
         samples_ns: samples,
+        bytes: None,
     };
     println!(
         "{name:<48} {:>12}/iter  ({iters} iters/sample)",
@@ -146,6 +165,7 @@ mod tests {
             median_ns: 2,
             p90_ns: 3,
             samples_ns: vec![1, 2, 3],
+            bytes: None,
         };
         let doc = bench_json(vec![stats]);
         assert!(doc.starts_with("{\"benches\":["));

@@ -17,6 +17,7 @@
 
 use crate::microbench::{bench, BenchStats};
 use std::time::Duration;
+use subsub_kernels::common::{det_sum_on, restore};
 use subsub_kernels::kernel_by_name;
 use subsub_omprt::{Schedule, ThreadPool};
 use subsub_rtcheck::{
@@ -43,6 +44,10 @@ pub const REINSPECT_LEN: usize = 1 << 20;
 /// (SDDMM), a dense stencil (heat-3d), the two-level composed gather
 /// (CSRoCSR), and the strided-recurrence scatter (StridedScatter).
 pub const SUITE_KERNELS: &[&str] = &["AMGmk", "SDDMM", "heat-3d", "CSRoCSR", "StridedScatter"];
+
+/// Elements in the epilogue entries' arrays (8 Mi `f64`, 64 MiB: past
+/// every cache, the size of CHOLMOD `spal_004`'s factor).
+pub const EPILOGUE_LEN: usize = 8 << 20;
 
 /// Requests per burst in the service-throughput entry.
 pub const SERVICE_BURST: usize = 16;
@@ -137,6 +142,30 @@ pub fn run_suite() -> Vec<BenchStats> {
         }));
     }
 
+    // The epilogue every `Execute` pays after its kernel: the result
+    // digest (8·n bytes read) and the restore (16·n bytes moved), inline
+    // and pooled. The team is capped at the host's cores: two memory-bound
+    // runs per core take turns being descheduled mid-run, and the
+    // oversubscribed rows swung 2x between runs on a 2-core host.
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let team = ThreadPool::new(FORKJOIN_THREADS.min(cores));
+    let pristine: Vec<f64> = (0..EPILOGUE_LEN).map(|i| (i % 9) as f64 * 0.1).collect();
+    let mut live = pristine.clone();
+    for (tag, team) in [("serial", None), ("pooled", Some(&team))] {
+        out.push(
+            bench(&format!("epilogue/checksum-8Mi-{tag}"), || {
+                std::hint::black_box(det_sum_on(team, std::hint::black_box(&live)));
+            })
+            .moving(8 * EPILOGUE_LEN),
+        );
+        out.push(
+            bench(&format!("epilogue/reset-8Mi-{tag}"), || {
+                restore(team, std::hint::black_box(&mut live), &pristine);
+            })
+            .moving(16 * EPILOGUE_LEN),
+        );
+    }
+
     // Frontend throughput: lex + parse every kernel source in the
     // registry under the default budget. Guards the constant factors of
     // the hardened lexer/parser loops (span tracking, budget checks,
@@ -216,7 +245,15 @@ pub fn run_suite() -> Vec<BenchStats> {
 pub fn baseline_json(results: &[BenchStats]) -> String {
     let entries = results
         .iter()
-        .map(|s| format!("{{\"name\":\"{}\",\"median_ns\":{}}}", s.name, s.median_ns))
+        .map(|s| {
+            let rate = s
+                .bytes_per_s()
+                .map_or(String::new(), |r| format!(",\"bytes_per_s\":{r}"));
+            format!(
+                "{{\"name\":\"{}\",\"median_ns\":{}{rate}}}",
+                s.name, s.median_ns
+            )
+        })
         .collect::<Vec<_>>()
         .join(",");
     format!("{{\"schema\":\"subsub-perfgate/v1\",\"tolerance\":{DEFAULT_TOLERANCE},\"benches\":[{entries}]}}")
@@ -335,6 +372,7 @@ mod tests {
             median_ns,
             p90_ns: median_ns,
             samples_ns: vec![median_ns],
+            bytes: None,
         }
     }
 

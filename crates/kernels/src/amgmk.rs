@@ -7,7 +7,9 @@
 //! SpMV loop; classical analysis parallelizes the per-row reduction loop,
 //! paying one fork-join per matrix row (the Figure-13 anomaly).
 
-use crate::common::{InnerGroup, Kernel, KernelInstance};
+use crate::common::{
+    det_sum_on, duplicate_first_entry, restore, InnerGroup, Kernel, KernelInfo, KernelInstance,
+};
 use subsub_omprt::{Schedule, SendPtr, ThreadPool};
 use subsub_rtcheck::{Bindings, IndexArrayView, MonotoneReq, Provenance, ValidatedIndexArray};
 use subsub_sparse::{gen, Csr};
@@ -51,20 +53,13 @@ fn grid_for(dataset: &str) -> usize {
 }
 
 impl Kernel for Amgmk {
-    fn name(&self) -> &'static str {
-        "AMGmk"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn func_name(&self) -> &'static str {
-        "amgmk"
-    }
-
-    fn datasets(&self) -> Vec<&'static str> {
-        vec!["MATRIX2", "MATRIX1", "MATRIX3", "MATRIX4", "MATRIX5"]
+    fn info(&self) -> KernelInfo {
+        KernelInfo {
+            name: "AMGmk",
+            source: SOURCE,
+            func_name: "amgmk",
+            datasets: &["MATRIX2", "MATRIX1", "MATRIX3", "MATRIX4", "MATRIX5"],
+        }
     }
 
     fn prepare(&self, dataset: &str) -> Box<dyn KernelInstance> {
@@ -224,26 +219,16 @@ impl KernelInstance for AmgmkInstance {
     }
 
     fn tamper_index_arrays(&mut self) -> bool {
-        if self.rownnz.len() < 2 {
-            return false;
-        }
-        // Duplicate an entry: still sorted and in-domain, no longer
-        // injective. Going through `mutate_range` keeps the array
-        // validated and bumps the version (so cached verdicts
-        // invalidate) at O(Δ) instead of a whole-array snapshot. The
-        // serial variant just updates that row twice, deterministically.
-        self.rownnz
-            .mutate_range(0..2, |w| w[1] = w[0])
-            .expect("duplicating an in-domain entry stays in domain");
-        true
+        // The serial variant just updates that row twice, deterministically.
+        duplicate_first_entry(&mut self.rownnz)
     }
 
-    fn checksum(&self) -> f64 {
-        self.y.iter().sum()
+    fn checksum_on(&self, pool: Option<&ThreadPool>) -> f64 {
+        det_sum_on(pool, &self.y)
     }
 
-    fn reset(&mut self) {
-        self.y.copy_from_slice(&self.y0);
+    fn reset_on(&mut self, pool: Option<&ThreadPool>) {
+        restore(pool, &mut self.y, &self.y0);
     }
 }
 

@@ -12,7 +12,9 @@
 //! serially and iterations within a block in parallel, and demotes itself
 //! to the serial reference whenever the block-monotone verdict fails.
 
-use crate::common::{InnerGroup, Kernel, KernelInstance};
+use crate::common::{
+    det_sum_on, duplicate_first_entry, restore, InnerGroup, Kernel, KernelInfo, KernelInstance,
+};
 use subsub_omprt::{Schedule, SendPtr, ThreadPool};
 use subsub_rtcheck::{
     inspect_block_monotone, IndexArrayView, Provenance, ValidatedIndexArray, BLOCK_LEN,
@@ -46,20 +48,13 @@ fn blocks_for(dataset: &str) -> usize {
 }
 
 impl Kernel for BlockHist {
-    fn name(&self) -> &'static str {
-        "BlockHist"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn func_name(&self) -> &'static str {
-        "bhist"
-    }
-
-    fn datasets(&self) -> Vec<&'static str> {
-        vec!["blk64"]
+    fn info(&self) -> KernelInfo {
+        KernelInfo {
+            name: "BlockHist",
+            source: SOURCE,
+            func_name: "bhist",
+            datasets: &["blk64"],
+        }
     }
 
     fn prepare(&self, dataset: &str) -> Box<dyn KernelInstance> {
@@ -185,24 +180,17 @@ impl KernelInstance for BlockHistInstance {
     }
 
     fn tamper_index_arrays(&mut self) -> bool {
-        if self.key.len() < 2 {
-            return false;
-        }
-        // Duplicate a key *within* the first block: still in-domain, but
-        // within-block strictness breaks, so the block-parallel path
-        // must demote itself to serial.
-        self.key
-            .mutate_range(0..2, |w| w[1] = w[0])
-            .expect("duplicating an in-domain key stays in domain");
-        true
+        // A duplicate *within* the first block: within-block strictness
+        // breaks, so the block-parallel path must demote itself to serial.
+        duplicate_first_entry(&mut self.key)
     }
 
-    fn checksum(&self) -> f64 {
-        self.y.iter().sum()
+    fn checksum_on(&self, pool: Option<&ThreadPool>) -> f64 {
+        det_sum_on(pool, &self.y)
     }
 
-    fn reset(&mut self) {
-        self.y.copy_from_slice(&self.y0);
+    fn reset_on(&mut self, pool: Option<&ThreadPool>) {
+        restore(pool, &mut self.y, &self.y0);
     }
 }
 

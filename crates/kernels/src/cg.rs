@@ -4,7 +4,7 @@
 //! the row loop — CG is one of the six benchmarks Figure 17 credits to
 //! plain Cetus.
 
-use crate::common::{InnerGroup, Kernel, KernelInstance};
+use crate::common::{det_sum_on, restore, zero, InnerGroup, Kernel, KernelInfo, KernelInstance};
 use subsub_omprt::{Schedule, SendPtr, ThreadPool};
 use subsub_sparse::{gen, Csr};
 
@@ -42,20 +42,13 @@ fn grid_for(dataset: &str) -> usize {
 }
 
 impl Kernel for Cg {
-    fn name(&self) -> &'static str {
-        "CG"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn func_name(&self) -> &'static str {
-        "cg_iter"
-    }
-
-    fn datasets(&self) -> Vec<&'static str> {
-        vec!["CLASS B", "CLASS A"]
+    fn info(&self) -> KernelInfo {
+        KernelInfo {
+            name: "CG",
+            source: SOURCE,
+            func_name: "cg_iter",
+            datasets: &["CLASS B", "CLASS A"],
+        }
     }
 
     fn prepare(&self, dataset: &str) -> Box<dyn KernelInstance> {
@@ -167,13 +160,13 @@ impl KernelInstance for CgInstance {
         0.8 // SpMV-dominated
     }
 
-    fn checksum(&self) -> f64 {
-        self.z.iter().sum::<f64>() + self.q.iter().sum::<f64>()
+    fn checksum_on(&self, pool: Option<&ThreadPool>) -> f64 {
+        det_sum_on(pool, &self.z) + det_sum_on(pool, &self.q)
     }
 
-    fn reset(&mut self) {
-        self.z.copy_from_slice(&self.z0);
-        self.q.fill(0.0);
+    fn reset_on(&mut self, pool: Option<&ThreadPool>) {
+        restore(pool, &mut self.z, &self.z0);
+        zero(pool, &mut self.q);
     }
 }
 

@@ -9,7 +9,7 @@
 //! width, making the prefix-sum increment a compile-time constant (the
 //! analyzable form; see DESIGN.md).
 
-use crate::common::{InnerGroup, Kernel, KernelInstance};
+use crate::common::{det_sum_on, restore, InnerGroup, Kernel, KernelInfo, KernelInstance};
 use subsub_omprt::{Schedule, SendPtr, ThreadPool};
 use subsub_rtcheck::{IndexArrayView, MonotoneReq, Provenance, ValidatedIndexArray};
 
@@ -44,20 +44,13 @@ fn supernodes_for(dataset: &str) -> usize {
 }
 
 impl Kernel for Cholmod {
-    fn name(&self) -> &'static str {
-        "CHOLMOD-Supernodal"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn func_name(&self) -> &'static str {
-        "cholmod_sn"
-    }
-
-    fn datasets(&self) -> Vec<&'static str> {
-        vec!["spal_004"]
+    fn info(&self) -> KernelInfo {
+        KernelInfo {
+            name: "CHOLMOD-Supernodal",
+            source: SOURCE,
+            func_name: "cholmod_sn",
+            datasets: &["spal_004"],
+        }
     }
 
     fn prepare(&self, dataset: &str) -> Box<dyn KernelInstance> {
@@ -171,12 +164,12 @@ impl KernelInstance for CholmodInstance {
         vec![self.colptr.view(MonotoneReq::Strict)]
     }
 
-    fn checksum(&self) -> f64 {
-        self.l.iter().sum()
+    fn checksum_on(&self, pool: Option<&ThreadPool>) -> f64 {
+        det_sum_on(pool, &self.l)
     }
 
-    fn reset(&mut self) {
-        self.l.copy_from_slice(&self.l0);
+    fn reset_on(&mut self, pool: Option<&ThreadPool>) {
+        restore(pool, &mut self.l, &self.l0);
     }
 }
 

@@ -11,7 +11,9 @@
 //! check `num_act - 1 <= m_max` bounding the loop range inside the inner
 //! array's proven domain.
 
-use crate::common::{InnerGroup, Kernel, KernelInstance};
+use crate::common::{
+    det_sum_on, duplicate_first_entry, restore, InnerGroup, Kernel, KernelInfo, KernelInstance,
+};
 use subsub_omprt::{Schedule, SendPtr, ThreadPool};
 use subsub_rtcheck::{Bindings, IndexArrayView, MonotoneReq, Provenance, ValidatedIndexArray};
 
@@ -53,20 +55,13 @@ fn rows_for(dataset: &str) -> usize {
 }
 
 impl Kernel for CsrOfCsr {
-    fn name(&self) -> &'static str {
-        "CSRoCSR"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn func_name(&self) -> &'static str {
-        "csrocsr"
-    }
-
-    fn datasets(&self) -> Vec<&'static str> {
-        vec!["rows64k"]
+    fn info(&self) -> KernelInfo {
+        KernelInfo {
+            name: "CSRoCSR",
+            source: SOURCE,
+            func_name: "csrocsr",
+            datasets: &["rows64k"],
+        }
     }
 
     fn prepare(&self, dataset: &str) -> Box<dyn KernelInstance> {
@@ -156,11 +151,6 @@ impl KernelInstance for CsrOfCsrInstance {
         });
     }
 
-    fn run_inner(&mut self, _pool: &ThreadPool, _sched: Schedule) {
-        // The use loop has no inner nest: classical fallback is serial.
-        self.run_serial();
-    }
-
     fn outer_costs(&self) -> Vec<f64> {
         vec![COST_PER_GATHER; self.act.len()]
     }
@@ -197,24 +187,17 @@ impl KernelInstance for CsrOfCsrInstance {
     }
 
     fn tamper_index_arrays(&mut self) -> bool {
-        if self.act.len() < 2 {
-            return false;
-        }
-        // Duplicate an inner-level entry: still sorted and in-domain, no
-        // longer injective — the composed scatter would race, so the
+        // On the inner level: the composed scatter would race, so the
         // guard must reject and rescue serially.
-        self.act
-            .mutate_range(0..2, |w| w[1] = w[0])
-            .expect("duplicating an in-domain entry stays in domain");
-        true
+        duplicate_first_entry(&mut self.act)
     }
 
-    fn checksum(&self) -> f64 {
-        self.y.iter().sum()
+    fn checksum_on(&self, pool: Option<&ThreadPool>) -> f64 {
+        det_sum_on(pool, &self.y)
     }
 
-    fn reset(&mut self) {
-        self.y.copy_from_slice(&self.y0);
+    fn reset_on(&mut self, pool: Option<&ThreadPool>) {
+        restore(pool, &mut self.y, &self.y0);
     }
 }
 

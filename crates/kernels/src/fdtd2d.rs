@@ -2,7 +2,7 @@
 //! Serial time loop, classically parallel field sweeps (Figure 17 credits
 //! plain Cetus).
 
-use crate::common::{InnerGroup, Kernel, KernelInstance};
+use crate::common::{det_sum_on, restore, InnerGroup, Kernel, KernelInfo, KernelInstance};
 use subsub_omprt::{Schedule, SendPtr, ThreadPool};
 
 /// fdtd-2d source: time loop updating ey, ex and hz.
@@ -47,20 +47,13 @@ fn size_for(dataset: &str) -> (usize, usize) {
 }
 
 impl Kernel for Fdtd2d {
-    fn name(&self) -> &'static str {
-        "fdtd-2d"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn func_name(&self) -> &'static str {
-        "fdtd2d"
-    }
-
-    fn datasets(&self) -> Vec<&'static str> {
-        vec!["EXTRALARGE", "LARGE"]
+    fn info(&self) -> KernelInfo {
+        KernelInfo {
+            name: "fdtd-2d",
+            source: SOURCE,
+            func_name: "fdtd2d",
+            datasets: &["EXTRALARGE", "LARGE"],
+        }
     }
 
     fn prepare(&self, dataset: &str) -> Box<dyn KernelInstance> {
@@ -119,10 +112,6 @@ impl KernelInstance for Fdtd2dInstance {
         }
     }
 
-    fn run_outer(&mut self, pool: &ThreadPool, sched: Schedule) {
-        self.run_inner(pool, sched);
-    }
-
     fn run_inner(&mut self, pool: &ThreadPool, sched: Schedule) {
         let n = self.n;
         for t in 0..self.tmax {
@@ -175,13 +164,6 @@ impl KernelInstance for Fdtd2dInstance {
         }
     }
 
-    fn outer_costs(&self) -> Vec<f64> {
-        self.inner_groups()
-            .into_iter()
-            .flat_map(|g| g.inner)
-            .collect()
-    }
-
     fn inner_groups(&self) -> Vec<InnerGroup> {
         let row_cost = self.n as f64 * 5.0;
         (0..self.tmax * 3)
@@ -196,14 +178,14 @@ impl KernelInstance for Fdtd2dInstance {
         0.6 // three streaming field sweeps
     }
 
-    fn checksum(&self) -> f64 {
-        self.ex.iter().sum::<f64>() + self.ey.iter().sum::<f64>() + self.hz.iter().sum::<f64>()
+    fn checksum_on(&self, pool: Option<&ThreadPool>) -> f64 {
+        det_sum_on(pool, &self.ex) + det_sum_on(pool, &self.ey) + det_sum_on(pool, &self.hz)
     }
 
-    fn reset(&mut self) {
-        self.ex.copy_from_slice(&self.ex0);
-        self.ey.copy_from_slice(&self.ey0);
-        self.hz.copy_from_slice(&self.hz0);
+    fn reset_on(&mut self, pool: Option<&ThreadPool>) {
+        restore(pool, &mut self.ex, &self.ex0);
+        restore(pool, &mut self.ey, &self.ey0);
+        restore(pool, &mut self.hz, &self.hz0);
     }
 }
 

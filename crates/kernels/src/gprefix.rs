@@ -10,7 +10,7 @@
 //! runtime check, so the segment loop dispatches parallel exactly when the
 //! runtime bindings prove the premise.
 
-use crate::common::{InnerGroup, Kernel, KernelInstance};
+use crate::common::{det_sum_on, restore, InnerGroup, Kernel, KernelInfo, KernelInstance};
 use subsub_omprt::{Schedule, SendPtr, ThreadPool};
 use subsub_rtcheck::{Bindings, IndexArrayView, MonotoneReq, Provenance, ValidatedIndexArray};
 
@@ -45,20 +45,13 @@ fn segments_for(dataset: &str) -> usize {
 }
 
 impl Kernel for GuardedPrefix {
-    fn name(&self) -> &'static str {
-        "GuardedPrefix"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn func_name(&self) -> &'static str {
-        "gprefix"
-    }
-
-    fn datasets(&self) -> Vec<&'static str> {
-        vec!["seg96k"]
+    fn info(&self) -> KernelInfo {
+        KernelInfo {
+            name: "GuardedPrefix",
+            source: SOURCE,
+            func_name: "gprefix",
+            datasets: &["seg96k"],
+        }
     }
 
     fn prepare(&self, dataset: &str) -> Box<dyn KernelInstance> {
@@ -168,12 +161,12 @@ impl KernelInstance for GuardedPrefixInstance {
         vec![self.off.view(MonotoneReq::NonStrict)]
     }
 
-    fn checksum(&self) -> f64 {
-        self.vals.iter().sum()
+    fn checksum_on(&self, pool: Option<&ThreadPool>) -> f64 {
+        det_sum_on(pool, &self.vals)
     }
 
-    fn reset(&mut self) {
-        self.vals.copy_from_slice(&self.vals0);
+    fn reset_on(&mut self, pool: Option<&ThreadPool>) {
+        restore(pool, &mut self.vals, &self.vals0);
     }
 }
 

@@ -3,7 +3,7 @@
 //! classically parallel (Figure 17 credits plain Cetus, with modest
 //! speedup because of the shrinking inner loop).
 
-use crate::common::{InnerGroup, Kernel, KernelInstance};
+use crate::common::{det_sum_on, restore, zero, InnerGroup, Kernel, KernelInfo, KernelInstance};
 use subsub_omprt::{Schedule, SendPtr, ThreadPool};
 
 /// gramschmidt source with 2-D arrays (the normalization uses sqrt, an
@@ -47,20 +47,13 @@ fn size_for(dataset: &str) -> usize {
 }
 
 impl Kernel for Gramschmidt {
-    fn name(&self) -> &'static str {
-        "gramschmidt"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn func_name(&self) -> &'static str {
-        "gramschmidt"
-    }
-
-    fn datasets(&self) -> Vec<&'static str> {
-        vec!["EXTRALARGE", "LARGE"]
+    fn info(&self) -> KernelInfo {
+        KernelInfo {
+            name: "gramschmidt",
+            source: SOURCE,
+            func_name: "gramschmidt",
+            datasets: &["EXTRALARGE", "LARGE"],
+        }
     }
 
     fn prepare(&self, dataset: &str) -> Box<dyn KernelInstance> {
@@ -137,10 +130,6 @@ impl KernelInstance for GsInstance {
         }
     }
 
-    fn run_outer(&mut self, pool: &ThreadPool, sched: Schedule) {
-        self.run_inner(pool, sched);
-    }
-
     fn run_inner(&mut self, pool: &ThreadPool, sched: Schedule) {
         for k in 0..self.n {
             self.head(k);
@@ -152,13 +141,6 @@ impl KernelInstance for GsInstance {
                 this.update(k, k + 1 + jj, a.get(), r.get());
             });
         }
-    }
-
-    fn outer_costs(&self) -> Vec<f64> {
-        self.inner_groups()
-            .into_iter()
-            .flat_map(|g| g.inner)
-            .collect()
     }
 
     fn inner_groups(&self) -> Vec<InnerGroup> {
@@ -175,14 +157,14 @@ impl KernelInstance for GsInstance {
         0.3 // repeated column passes
     }
 
-    fn checksum(&self) -> f64 {
-        self.q.iter().sum::<f64>() + self.r.iter().sum::<f64>()
+    fn checksum_on(&self, pool: Option<&ThreadPool>) -> f64 {
+        det_sum_on(pool, &self.q) + det_sum_on(pool, &self.r)
     }
 
-    fn reset(&mut self) {
-        self.a.copy_from_slice(&self.a0);
-        self.q.fill(0.0);
-        self.r.fill(0.0);
+    fn reset_on(&mut self, pool: Option<&ThreadPool>) {
+        restore(pool, &mut self.a, &self.a0);
+        zero(pool, &mut self.q);
+        zero(pool, &mut self.r);
     }
 }
 

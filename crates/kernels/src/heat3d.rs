@@ -4,7 +4,7 @@
 //! iteration, so fork-join is amortized — classical parallelization wins
 //! here and the subscript-array analysis adds nothing (Figure 17).
 
-use crate::common::{InnerGroup, Kernel, KernelInstance};
+use crate::common::{det_sum_on, restore, zero, InnerGroup, Kernel, KernelInfo, KernelInstance};
 use subsub_omprt::{Schedule, SendPtr, ThreadPool};
 
 /// heat-3d source: time loop with two Jacobi sweeps.
@@ -50,20 +50,13 @@ fn size_for(dataset: &str) -> (usize, usize) {
 }
 
 impl Kernel for Heat3d {
-    fn name(&self) -> &'static str {
-        "heat-3d"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn func_name(&self) -> &'static str {
-        "heat3d"
-    }
-
-    fn datasets(&self) -> Vec<&'static str> {
-        vec!["EXTRALARGE", "LARGE"]
+    fn info(&self) -> KernelInfo {
+        KernelInfo {
+            name: "heat-3d",
+            source: SOURCE,
+            func_name: "heat3d",
+            datasets: &["EXTRALARGE", "LARGE"],
+        }
     }
 
     fn prepare(&self, dataset: &str) -> Box<dyn KernelInstance> {
@@ -122,12 +115,6 @@ impl KernelInstance for Heat3dInstance {
         }
     }
 
-    fn run_outer(&mut self, pool: &ThreadPool, sched: Schedule) {
-        // There is no outer (time-loop) parallelism; delegate to the
-        // spatial strategy.
-        self.run_inner(pool, sched);
-    }
-
     fn run_inner(&mut self, pool: &ThreadPool, sched: Schedule) {
         let n = self.n;
         for _ in 0..self.tsteps {
@@ -148,14 +135,6 @@ impl KernelInstance for Heat3dInstance {
         }
     }
 
-    fn outer_costs(&self) -> Vec<f64> {
-        // No outer strategy: one entry per plane per sweep (same as inner).
-        self.inner_groups()
-            .into_iter()
-            .flat_map(|g| g.inner)
-            .collect()
-    }
-
     fn inner_groups(&self) -> Vec<InnerGroup> {
         let plane_cost = ((self.n - 2) * (self.n - 2)) as f64 * 13.0;
         (0..self.tsteps * 2)
@@ -170,13 +149,13 @@ impl KernelInstance for Heat3dInstance {
         0.5 // 7-point stencil, moderate reuse
     }
 
-    fn checksum(&self) -> f64 {
-        self.a.iter().sum::<f64>() + self.b.iter().sum::<f64>()
+    fn checksum_on(&self, pool: Option<&ThreadPool>) -> f64 {
+        det_sum_on(pool, &self.a) + det_sum_on(pool, &self.b)
     }
 
-    fn reset(&mut self) {
-        self.a.copy_from_slice(&self.a0);
-        self.b.fill(0.0);
+    fn reset_on(&mut self, pool: Option<&ThreadPool>) {
+        restore(pool, &mut self.a, &self.a0);
+        zero(pool, &mut self.b);
     }
 }
 

@@ -4,8 +4,8 @@
 //! the program input" (paper, Section 4.3) — no compile-time configuration
 //! parallelizes the factorization; Figure 17 shows no improvement.
 
-use crate::common::{InnerGroup, Kernel, KernelInstance};
-use subsub_omprt::{Schedule, ThreadPool};
+use crate::common::{det_sum_on, restore, InnerGroup, Kernel, KernelInfo, KernelInstance};
+use subsub_omprt::ThreadPool;
 use subsub_sparse::{gen, Csr};
 
 /// IC(0) source: the column elimination loop with input-defined pattern
@@ -37,20 +37,13 @@ fn size_for(dataset: &str) -> usize {
 }
 
 impl Kernel for ICholesky {
-    fn name(&self) -> &'static str {
-        "Incomplete-Cholesky"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn func_name(&self) -> &'static str {
-        "icholesky"
-    }
-
-    fn datasets(&self) -> Vec<&'static str> {
-        vec!["crankseg_1"]
+    fn info(&self) -> KernelInfo {
+        KernelInfo {
+            name: "Incomplete-Cholesky",
+            source: SOURCE,
+            func_name: "icholesky",
+            datasets: &["crankseg_1"],
+        }
     }
 
     #[allow(clippy::needless_range_loop)]
@@ -105,14 +98,6 @@ impl KernelInstance for IcInstance {
         }
     }
 
-    fn run_outer(&mut self, _pool: &ThreadPool, _sched: Schedule) {
-        self.run_serial();
-    }
-
-    fn run_inner(&mut self, _pool: &ThreadPool, _sched: Schedule) {
-        self.run_serial();
-    }
-
     fn outer_costs(&self) -> Vec<f64> {
         vec![self.upper.nnz() as f64 * 6.0 * 8.0]
     }
@@ -124,13 +109,13 @@ impl KernelInstance for IcInstance {
         }]
     }
 
-    fn checksum(&self) -> f64 {
-        self.diag.iter().sum::<f64>() + self.val.iter().sum::<f64>()
+    fn checksum_on(&self, pool: Option<&ThreadPool>) -> f64 {
+        det_sum_on(pool, &self.diag) + det_sum_on(pool, &self.val)
     }
 
-    fn reset(&mut self) {
-        self.diag.copy_from_slice(&self.diag0);
-        self.val.copy_from_slice(&self.val0);
+    fn reset_on(&mut self, pool: Option<&ThreadPool>) {
+        restore(pool, &mut self.diag, &self.diag0);
+        restore(pool, &mut self.val, &self.val0);
     }
 }
 

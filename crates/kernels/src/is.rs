@@ -4,8 +4,8 @@
 //! compile time" (paper, Section 4.3). No configuration parallelizes it;
 //! Figure 17 shows no improvement.
 
-use crate::common::{InnerGroup, Kernel, KernelInstance};
-use subsub_omprt::{Schedule, ThreadPool};
+use crate::common::{InnerGroup, Kernel, KernelInfo, KernelInstance};
+use subsub_omprt::ThreadPool;
 
 /// IS ranking source: histogram + prefix + rank scatter, all through
 /// data-dependent subscripts.
@@ -42,20 +42,13 @@ fn size_for(dataset: &str) -> (usize, usize) {
 }
 
 impl Kernel for Is {
-    fn name(&self) -> &'static str {
-        "IS"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn func_name(&self) -> &'static str {
-        "is_rank"
-    }
-
-    fn datasets(&self) -> Vec<&'static str> {
-        vec!["CLASS C", "CLASS B"]
+    fn info(&self) -> KernelInfo {
+        KernelInfo {
+            name: "IS",
+            source: SOURCE,
+            func_name: "is_rank",
+            datasets: &["CLASS C", "CLASS B"],
+        }
     }
 
     fn prepare(&self, dataset: &str) -> Box<dyn KernelInstance> {
@@ -99,15 +92,6 @@ impl KernelInstance for IsInstance {
         }
     }
 
-    fn run_outer(&mut self, _pool: &ThreadPool, _sched: Schedule) {
-        // No parallel decision exists at any level: serial fallback.
-        self.run_serial();
-    }
-
-    fn run_inner(&mut self, _pool: &ThreadPool, _sched: Schedule) {
-        self.run_serial();
-    }
-
     fn outer_costs(&self) -> Vec<f64> {
         vec![self.keys.len() as f64 * 8.0]
     }
@@ -119,12 +103,14 @@ impl KernelInstance for IsInstance {
         }]
     }
 
-    fn checksum(&self) -> f64 {
+    // Integer outputs, which `det_sum_on` cannot take: summed left to
+    // right as `f64` on the caller, whatever the pool.
+    fn checksum_on(&self, _pool: Option<&ThreadPool>) -> f64 {
         self.rank_out.iter().map(|&x| x as f64).sum::<f64>()
             + self.count.iter().map(|&x| x as f64).sum::<f64>()
     }
 
-    fn reset(&mut self) {
+    fn reset_on(&mut self, _pool: Option<&ThreadPool>) {
         self.count.fill(0);
         self.rank_out.fill(0);
     }

@@ -3,7 +3,7 @@
 //! are affine; classical parallelization handles the spatial loops
 //! (Figure 17 credits plain Cetus).
 
-use crate::common::{InnerGroup, Kernel, KernelInstance};
+use crate::common::{det_sum_on, zero, InnerGroup, Kernel, KernelInfo, KernelInstance};
 use subsub_omprt::{Schedule, SendPtr, ThreadPool};
 
 /// MG smoother source (representative sweep; the full V-cycle repeats it
@@ -39,20 +39,13 @@ fn size_for(dataset: &str) -> (usize, usize) {
 }
 
 impl Kernel for Mg {
-    fn name(&self) -> &'static str {
-        "MG"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn func_name(&self) -> &'static str {
-        "mg_relax"
-    }
-
-    fn datasets(&self) -> Vec<&'static str> {
-        vec!["CLASS B", "CLASS A"]
+    fn info(&self) -> KernelInfo {
+        KernelInfo {
+            name: "MG",
+            source: SOURCE,
+            func_name: "mg_relax",
+            datasets: &["CLASS B", "CLASS A"],
+        }
     }
 
     fn prepare(&self, dataset: &str) -> Box<dyn KernelInstance> {
@@ -127,10 +120,6 @@ impl KernelInstance for MgInstance {
         }
     }
 
-    fn run_outer(&mut self, pool: &ThreadPool, sched: Schedule) {
-        self.run_inner(pool, sched);
-    }
-
     fn run_inner(&mut self, pool: &ThreadPool, sched: Schedule) {
         for _ in 0..self.cycles {
             for g in &mut self.grids {
@@ -141,13 +130,6 @@ impl KernelInstance for MgInstance {
                 });
             }
         }
-    }
-
-    fn outer_costs(&self) -> Vec<f64> {
-        self.inner_groups()
-            .into_iter()
-            .flat_map(|g| g.inner)
-            .collect()
     }
 
     fn inner_groups(&self) -> Vec<InnerGroup> {
@@ -168,13 +150,15 @@ impl KernelInstance for MgInstance {
         0.5 // stencil sweeps across levels
     }
 
-    fn checksum(&self) -> f64 {
-        self.grids.iter().map(|g| g.u.iter().sum::<f64>()).sum()
+    fn checksum_on(&self, pool: Option<&ThreadPool>) -> f64 {
+        self.grids
+            .iter()
+            .fold(0.0, |sum, g| sum + det_sum_on(pool, &g.u))
     }
 
-    fn reset(&mut self) {
+    fn reset_on(&mut self, pool: Option<&ThreadPool>) {
         for g in &mut self.grids {
-            g.u.fill(0.0);
+            zero(pool, &mut g.u);
         }
     }
 }

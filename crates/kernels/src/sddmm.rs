@@ -8,7 +8,7 @@
 //! nonzero distribution — the dataset with skewed columns is also the
 //! subject of the paper's dynamic-vs-static scheduling study (Figure 16).
 
-use crate::common::{InnerGroup, Kernel, KernelInstance};
+use crate::common::{det_sum_on, zero, InnerGroup, Kernel, KernelInfo, KernelInstance};
 use subsub_omprt::{Schedule, SendPtr, ThreadPool};
 use subsub_rtcheck::{Bindings, IndexArrayView, MonotoneReq, Provenance, ValidatedIndexArray};
 use subsub_sparse::{Csc, MatrixSpec};
@@ -81,20 +81,13 @@ pub fn spec_for(dataset: &str) -> MatrixSpec {
 }
 
 impl Kernel for Sddmm {
-    fn name(&self) -> &'static str {
-        "SDDMM"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn func_name(&self) -> &'static str {
-        "sddmm"
-    }
-
-    fn datasets(&self) -> Vec<&'static str> {
-        vec!["dielFilterV2clx", "gsm_106857", "af_shell1", "inline_1"]
+    fn info(&self) -> KernelInfo {
+        KernelInfo {
+            name: "SDDMM",
+            source: SOURCE,
+            func_name: "sddmm",
+            datasets: &["dielFilterV2clx", "gsm_106857", "af_shell1", "inline_1"],
+        }
     }
 
     fn prepare(&self, dataset: &str) -> Box<dyn KernelInstance> {
@@ -258,12 +251,12 @@ impl KernelInstance for SddmmInstance {
         true
     }
 
-    fn checksum(&self) -> f64 {
-        self.p.iter().sum()
+    fn checksum_on(&self, pool: Option<&ThreadPool>) -> f64 {
+        det_sum_on(pool, &self.p)
     }
 
-    fn reset(&mut self) {
-        self.p.fill(0.0);
+    fn reset_on(&mut self, pool: Option<&ThreadPool>) {
+        zero(pool, &mut self.p);
     }
 }
 

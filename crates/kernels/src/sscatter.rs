@@ -9,7 +9,9 @@
 //! no runtime check, since the property's symbolic bounds are resolved at
 //! compile time.
 
-use crate::common::{InnerGroup, Kernel, KernelInstance};
+use crate::common::{
+    det_sum_on, duplicate_first_entry, restore, InnerGroup, Kernel, KernelInfo, KernelInstance,
+};
 use subsub_omprt::{Schedule, SendPtr, ThreadPool};
 use subsub_rtcheck::{IndexArrayView, MonotoneReq, Provenance, ValidatedIndexArray};
 
@@ -43,20 +45,13 @@ fn size_for(dataset: &str) -> usize {
 }
 
 impl Kernel for StridedScatter {
-    fn name(&self) -> &'static str {
-        "StridedScatter"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn func_name(&self) -> &'static str {
-        "sscatter"
-    }
-
-    fn datasets(&self) -> Vec<&'static str> {
-        vec!["n256k"]
+    fn info(&self) -> KernelInfo {
+        KernelInfo {
+            name: "StridedScatter",
+            source: SOURCE,
+            func_name: "sscatter",
+            datasets: &["n256k"],
+        }
     }
 
     fn prepare(&self, dataset: &str) -> Box<dyn KernelInstance> {
@@ -115,11 +110,6 @@ impl KernelInstance for StridedScatterInstance {
         });
     }
 
-    fn run_inner(&mut self, _pool: &ThreadPool, _sched: Schedule) {
-        // No inner nest: classical fallback is serial.
-        self.run_serial();
-    }
-
     fn outer_costs(&self) -> Vec<f64> {
         vec![COST_PER_SCATTER; self.off.len()]
     }
@@ -142,23 +132,17 @@ impl KernelInstance for StridedScatterInstance {
     }
 
     fn tamper_index_arrays(&mut self) -> bool {
-        if self.off.len() < 2 {
-            return false;
-        }
-        // Collapse the first gap: in-domain and still sorted, but no
-        // longer strict — the scatter would race on the shared target.
-        self.off
-            .mutate_range(0..2, |w| w[1] = w[0])
-            .expect("duplicating an in-domain entry stays in domain");
-        true
+        // Collapses the first gap: the scatter would race on the shared
+        // target.
+        duplicate_first_entry(&mut self.off)
     }
 
-    fn checksum(&self) -> f64 {
-        self.y.iter().sum()
+    fn checksum_on(&self, pool: Option<&ThreadPool>) -> f64 {
+        det_sum_on(pool, &self.y)
     }
 
-    fn reset(&mut self) {
-        self.y.copy_from_slice(&self.y0);
+    fn reset_on(&mut self, pool: Option<&ThreadPool>) {
+        restore(pool, &mut self.y, &self.y0);
     }
 }
 

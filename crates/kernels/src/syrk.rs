@@ -2,7 +2,7 @@
 //! The outer row loop is classically parallel — plain affine subscripts
 //! (Figure 17 credits plain Cetus).
 
-use crate::common::{InnerGroup, Kernel, KernelInstance};
+use crate::common::{det_sum_on, restore, InnerGroup, Kernel, KernelInfo, KernelInstance};
 use subsub_omprt::{Schedule, SendPtr, ThreadPool};
 
 /// syrk source with 2-D arrays.
@@ -36,20 +36,13 @@ fn size_for(dataset: &str) -> (usize, usize) {
 }
 
 impl Kernel for Syrk {
-    fn name(&self) -> &'static str {
-        "syrk"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn func_name(&self) -> &'static str {
-        "syrk"
-    }
-
-    fn datasets(&self) -> Vec<&'static str> {
-        vec!["EXTRALARGE", "LARGE"]
+    fn info(&self) -> KernelInfo {
+        KernelInfo {
+            name: "syrk",
+            source: SOURCE,
+            func_name: "syrk",
+            datasets: &["EXTRALARGE", "LARGE"],
+        }
     }
 
     fn prepare(&self, dataset: &str) -> Box<dyn KernelInstance> {
@@ -133,12 +126,12 @@ impl KernelInstance for SyrkInstance {
         0.2 // O(n³) compute over O(n²) data
     }
 
-    fn checksum(&self) -> f64 {
-        self.c.iter().sum()
+    fn checksum_on(&self, pool: Option<&ThreadPool>) -> f64 {
+        det_sum_on(pool, &self.c)
     }
 
-    fn reset(&mut self) {
-        self.c.copy_from_slice(&self.c0);
+    fn reset_on(&mut self, pool: Option<&ThreadPool>) {
+        restore(pool, &mut self.c, &self.c0);
     }
 }
 

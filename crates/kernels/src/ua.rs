@@ -10,7 +10,7 @@
 //! gather loops inside each element — the fork-join-dominated strategy of
 //! Figure 13.
 
-use crate::common::{InnerGroup, Kernel, KernelInstance};
+use crate::common::{det_sum_on, restore, InnerGroup, Kernel, KernelInfo, KernelInstance};
 use subsub_omprt::{Schedule, SendPtr, ThreadPool};
 
 /// Faces per element (the six `idel` facets).
@@ -74,24 +74,35 @@ fn elements_for(dataset: &str) -> usize {
 }
 
 impl Kernel for UaTransf {
-    fn name(&self) -> &'static str {
-        "UA(transf)"
-    }
-
-    fn source(&self) -> &'static str {
-        SOURCE
-    }
-
-    fn func_name(&self) -> &'static str {
-        "transf"
-    }
-
-    fn datasets(&self) -> Vec<&'static str> {
-        vec!["CLASS A", "CLASS B", "CLASS C", "CLASS D"]
+    fn info(&self) -> KernelInfo {
+        KernelInfo {
+            name: "UA(transf)",
+            source: SOURCE,
+            func_name: "transf",
+            datasets: &["CLASS A", "CLASS B", "CLASS C", "CLASS D"],
+        }
     }
 
     fn prepare(&self, dataset: &str) -> Box<dyn KernelInstance> {
-        let lelt = elements_for(dataset);
+        Box::new(UaInstance::new(elements_for(dataset)))
+    }
+}
+
+struct UaInstance {
+    lelt: usize,
+    idel: Vec<usize>,
+    tx: Vec<f64>,
+    tx0: Vec<f64>,
+    tmort: Vec<f64>,
+    /// Scratch, not state: every variant's gather stage writes all 25
+    /// entries of element `iel` before its scatter stage reads them, and
+    /// the digest leaves it out — so `reset_on` does too.
+    tmp: Vec<f64>,
+    w: [f64; Q],
+}
+
+impl UaInstance {
+    fn new(lelt: usize) -> UaInstance {
         // idel fill mirrors the Figure-12 loop.
         let mut idel = vec![0usize; lelt * FACES * Q * Q];
         for iel in 0..lelt {
@@ -113,7 +124,7 @@ impl Kernel for UaTransf {
             .map(|i| 1.0 + (i % 5) as f64 * 0.2)
             .collect();
         let w = [0.2, 0.4, 0.6, 0.4, 0.2];
-        Box::new(UaInstance {
+        UaInstance {
             lelt,
             idel,
             tx: tx0.clone(),
@@ -121,21 +132,9 @@ impl Kernel for UaTransf {
             tmort,
             tmp: vec![0.0; lelt * Q * Q],
             w,
-        })
+        }
     }
-}
 
-struct UaInstance {
-    lelt: usize,
-    idel: Vec<usize>,
-    tx: Vec<f64>,
-    tx0: Vec<f64>,
-    tmort: Vec<f64>,
-    tmp: Vec<f64>,
-    w: [f64; Q],
-}
-
-impl UaInstance {
     #[inline]
     fn element(&self, iel: usize, tx: *mut f64, tmp: *mut f64) {
         // Gather stage.
@@ -241,13 +240,12 @@ impl KernelInstance for UaInstance {
         0.25 // gather/scatter with per-point arithmetic
     }
 
-    fn checksum(&self) -> f64 {
-        self.tx.iter().sum()
+    fn checksum_on(&self, pool: Option<&ThreadPool>) -> f64 {
+        det_sum_on(pool, &self.tx)
     }
 
-    fn reset(&mut self) {
-        self.tx.copy_from_slice(&self.tx0);
-        self.tmp.fill(0.0);
+    fn reset_on(&mut self, pool: Option<&ThreadPool>) {
+        restore(pool, &mut self.tx, &self.tx0);
     }
 }
 
@@ -300,6 +298,25 @@ mod tests {
         inst.reset();
         inst.run_inner(&pool, Schedule::static_default());
         assert!(close(inst.checksum(), reference));
+    }
+
+    #[test]
+    fn tmp_is_written_before_it_is_read() {
+        use crate::common::Variant;
+        let pool = ThreadPool::new(3);
+        let mut inst = UaInstance::new(elements_for("test"));
+        inst.run_serial();
+        let golden = inst.checksum();
+        for variant in [
+            Variant::Serial,
+            Variant::OuterParallel,
+            Variant::InnerParallel,
+        ] {
+            inst.reset();
+            inst.tmp.fill(f64::NAN);
+            inst.run(variant, &pool, Schedule::static_default());
+            assert_eq!(inst.checksum().to_bits(), golden.to_bits(), "{variant}");
+        }
     }
 
     #[test]

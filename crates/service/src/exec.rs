@@ -181,8 +181,11 @@ impl KernelEntry {
         }
     }
 
-    fn restore(&self, mut p: PreparedInstance) {
-        p.inst.reset();
+    /// Returns an instance to the pool, reset — on `team` when there is
+    /// one (`reset_on` redoes a faulted region inline, so the instance
+    /// is pristine either way).
+    fn restore(&self, mut p: PreparedInstance, team: Option<&ThreadPool>) {
+        p.inst.reset_on(team);
         // Reset restores the pristine dataset but also rolls back any
         // tamper, so the copies must be refreshed on next checkout if
         // versions moved; `refresh` below handles that lazily.
@@ -212,15 +215,16 @@ impl KernelEntry {
     }
 
     /// The serial reference checksum for divergence checking, computed
-    /// once per entry.
-    pub fn golden_checksum(&self) -> f64 {
+    /// once per entry (the run is serial; its digest and reset use
+    /// `pool`).
+    pub fn golden_checksum(&self, pool: &ThreadPool) -> f64 {
         if let Some(g) = *lock(&self.golden) {
             return g;
         }
         let mut p = self.checkout();
         p.inst.run_serial();
-        let g = p.inst.checksum();
-        self.restore(p);
+        let g = p.inst.checksum_on(Some(pool));
+        self.restore(p, Some(pool));
         *lock(&self.golden) = Some(g);
         g
     }
@@ -243,7 +247,9 @@ impl KernelEntry {
     ) -> Result<ExecReport, ServiceError> {
         let mut p = self.checkout();
         let report = self.execute_prepared(&mut p, cache, pool, serialized, paranoid, cancel);
-        self.restore(p);
+        // Serialized mode exists because the pool is suspect: its
+        // epilogue opens no region either.
+        self.restore(p, (!serialized).then_some(pool));
         report
     }
 
@@ -352,7 +358,7 @@ impl KernelEntry {
                         inst.run(variant, pool, Schedule::Static { chunk: None });
                     }));
                     match r {
-                        Ok(()) => Ok(inst.checksum()),
+                        Ok(()) => Ok(inst.checksum_on(Some(pool))),
                         Err(panic) => Err(classify_panic(panic.as_ref())),
                     }
                 };
@@ -503,23 +509,30 @@ mod tests {
             panic!("expected executed outcomes");
         };
         assert!(subsub_kernels::common::close(*a, *b));
-        assert!(subsub_kernels::common::close(*a, entry.golden_checksum()));
+        assert!(subsub_kernels::common::close(
+            *a,
+            entry.golden_checksum(&pool)
+        ));
     }
 
+    /// Serialized mode exists because the pool is suspect: neither the
+    /// kernel nor its epilogue may open a region, even on an array the
+    /// pooled forms would split (`n256k` is 8 × `PAR_MIN`).
     #[test]
     fn serialized_mode_forces_the_serial_path() {
         let cache = ShardedVerdictCache::new(2, 16);
         let pool = ThreadPool::new(2);
-        let entry = KernelEntry::new("AMGmk", "test", AlgorithmLevel::New).unwrap();
+        let entry = KernelEntry::new("StridedScatter", "n256k", AlgorithmLevel::New).unwrap();
+        assert_eq!(entry.variant(), Variant::OuterParallel);
         let r = entry.execute(&cache, &pool, true, true, None).unwrap();
+        assert_eq!(pool.health().regions, 0, "serialized mode opened a region");
         let Outcome::Executed { path, checksum, .. } = r.outcome else {
             panic!("expected executed outcome");
         };
         assert_eq!(path, GuardPath::Serial);
         assert!(r.cache.is_none(), "serialized mode skips inspection");
-        assert!(subsub_kernels::common::close(
-            checksum,
-            entry.golden_checksum()
-        ));
+        // The pooled golden opens regions, and agrees to the bit.
+        assert_eq!(checksum.to_bits(), entry.golden_checksum(&pool).to_bits());
+        assert!(pool.health().regions > 0);
     }
 }

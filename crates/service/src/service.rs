@@ -981,7 +981,7 @@ impl AnalysisService {
             .inner
             .registry
             .entry(kernel, dataset)?
-            .golden_checksum())
+            .golden_checksum(&self.inner.pool))
     }
 
     /// Stops admissions, drains queued jobs as `Shed(Shutdown)` errors,

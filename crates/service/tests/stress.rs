@@ -93,6 +93,9 @@ fn racing_lookups_run_exactly_one_inspection() {
 /// exactly one shard-cache inspection may run.
 #[test]
 fn racing_service_requests_share_one_inspection() {
+    // An empty plan, for the scope lock: a sibling's armed worker kill
+    // landing in this pool would serialize requests past the cache.
+    let _quiet = failpoint::arm(FailPlan::new());
     let service = AnalysisService::start(small_config());
     let golden = service.golden_checksum("AMGmk", "test").expect("golden");
     let tickets: Vec<_> = (0..8)

@@ -115,6 +115,12 @@ run_step quick "test suite" cargo test --workspace --exclude subsub-bench -q
 run_step quick "test suite (subsub-bench, one thread: armed failpoints are process-wide)" \
   cargo test -p subsub-bench -q -- --test-threads=1
 
+# The pool's tests once more with no spin budget: every wait, worker
+# and coordinator side, goes straight to the park path on every region,
+# which a healthy run on an idle machine otherwise never reaches.
+run_step quick "test suite (subsub-omprt, OMPRT_SPIN=0: every wait parks)" \
+  env OMPRT_SPIN=0 cargo test -p subsub-omprt -q
+
 # The benchmark is a package of its own (benchmark/Cargo.toml, outside
 # the workspace), so the workspace test run above does not reach it.
 run_step quick "benchmark package tests" \
@@ -173,7 +179,8 @@ run_step full "incremental re-inspection gate (O(delta) vs full re-scan)" \
 # --validate pass re-parses the emitted JSON through the strict parser
 # and the simulator's own MachineCalibration scanner, and — because
 # --threads is passed — rejects a file whose measured series does not
-# match the requested thread counts.
+# match the requested thread counts (both passes cap them at the host's
+# cores: a wider team times the scheduler).
 run_step full "fork-join smoke (calibrate)" \
   cargo run --release -q -p subsub-bench --bin forkjoin_calibrate -- \
   --quick --threads 1,4 --out target/BENCH_forkjoin_ci.json
@@ -222,10 +229,12 @@ run_step full "chaos-serve (seeded lifecycle storms over the service, pinned see
 run_step full "snapshot round-trip (write -> corrupt -> reject -> rebuild)" \
   cargo run --release -q -p subsub-bench --bin serve -- --roundtrip
 
-# The pinned micro-suite (fork-join latency, inspector throughput —
-# including the composed two-level verdict — and representative serial
-# kernels) against BENCH_baseline.json. A median beyond the band fails;
-# refresh with 'perfgate --update' alongside an intentional perf change.
+# The pinned micro-suite (fork-join latency — empty, CHOLMOD-shaped and
+# AMGmk-shaped regions beside a same-run two-thread flag round trip —
+# inspector throughput, including the composed two-level verdict, and
+# representative serial kernels) against BENCH_baseline.json. A median
+# beyond the band fails; refresh with 'perfgate --update' alongside an
+# intentional perf change.
 run_step full "perf gate (medians vs committed baseline, +/-25%)" \
   cargo run --release -q -p subsub-bench --bin perfgate
 

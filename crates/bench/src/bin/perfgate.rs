@@ -97,6 +97,7 @@ fn main() {
             GateStatus::Improved => "IMPROVED (refresh baseline?)",
             GateStatus::Regressed => "REGRESSED",
             GateStatus::Missing => "MISSING FROM BASELINE",
+            GateStatus::Reference => "reference (the host, not gated)",
         };
         println!(
             "  {:<28} base {:>12} ns  now {:>12} ns  {ratio}  {tag}",

@@ -12,6 +12,51 @@
 use subsub_omprt::MachineCalibration;
 use subsub_telemetry::json::{parse, Json};
 
+/// Fork-join latency of the mutex/condvar pool this runtime replaced in
+/// PR 2, per team size, as `forkjoin_calibrate` last measured it (on the
+/// 4-core host of PR 3) before that pool was deleted. Recorded constants:
+/// the calibration file keeps carrying them so the improvement stays on
+/// record, but nothing can re-measure them.
+pub const LEGACY_FORK_JOIN_NS: &[(usize, f64)] = &[(1, 2423.1), (2, 3298.2), (4, 6256.9)];
+
+/// The recorded legacy latency for a team of `threads`: the entry at the
+/// largest recorded team size not above it.
+pub fn legacy_fork_join_ns(threads: usize) -> f64 {
+    LEGACY_FORK_JOIN_NS
+        .iter()
+        .rev()
+        .find(|(t, _)| *t <= threads)
+        .unwrap_or(&LEGACY_FORK_JOIN_NS[0])
+        .1
+}
+
+/// The team sizes a calibration run measures when `requested` was asked
+/// for on a host with `cores` cores: never more threads than cores (an
+/// oversubscribed team times the scheduler, not the pool), in order,
+/// without the repeats the cap creates.
+pub fn measured_threads(requested: &[usize], cores: usize) -> Vec<usize> {
+    let mut out: Vec<usize> = Vec::with_capacity(requested.len());
+    for &t in requested {
+        let t = t.clamp(1, cores.max(1));
+        if !out.contains(&t) {
+            out.push(t);
+        }
+    }
+    out
+}
+
+/// Where a `BENCH_*.json` file's numbers were taken, as a JSON object:
+/// the host's cores, the team sizes actually run, and the compiler and
+/// flags (`-C target-cpu=…` among them) that built the binary.
+pub fn host_facts_json(threads_used: &[usize]) -> String {
+    let nproc = std::thread::available_parallelism().map_or(1, usize::from);
+    format!(
+        "{{\"nproc\":{nproc},\"threads_used\":{threads_used:?},\"rustflags\":\"{}\",\"rustc\":\"{}\"}}",
+        env!("SUBSUB_BENCH_RUSTFLAGS").replace('"', "'"),
+        env!("SUBSUB_BENCH_RUSTC").replace('"', "'"),
+    )
+}
+
 /// What a valid calibration document said.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CalibrationSummary {
@@ -28,7 +73,9 @@ pub struct CalibrationSummary {
 /// Validates a calibration document: strict JSON, expected schema,
 /// finite/positive constants, a usable simulator parse, and — when
 /// `requested` is given — a `series` measured at exactly those thread
-/// counts with the calibration point taken at the last of them.
+/// counts (the caller caps them with [`measured_threads`] first, as
+/// the calibration run did) with the calibration point taken at the
+/// last of them.
 pub fn validate_calibration_doc(
     doc: &str,
     requested: Option<&[usize]>,
@@ -138,6 +185,20 @@ mod tests {
         let d = doc(2, &[1, 2, 4]);
         let err = validate_calibration_doc(&d, Some(&[1, 2, 4])).expect_err("must reject");
         assert!(err.contains("cal_threads=2"), "{err}");
+    }
+
+    #[test]
+    fn a_team_is_never_wider_than_the_host() {
+        assert_eq!(measured_threads(&[1, 2, 4], 2), vec![1, 2]);
+        assert_eq!(measured_threads(&[1, 4], 2), vec![1, 2]);
+        assert_eq!(measured_threads(&[1, 2, 4], 8), vec![1, 2, 4]);
+        assert_eq!(measured_threads(&[4], 1), vec![1]);
+        assert_eq!(legacy_fork_join_ns(2), 3298.2);
+        assert_eq!(legacy_fork_join_ns(3), 3298.2);
+        assert_eq!(legacy_fork_join_ns(16), 6256.9);
+        let facts = parse(&host_facts_json(&[1, 2])).expect("host facts are JSON");
+        assert!(facts.get("nproc").and_then(Json::as_u64).is_some());
+        assert!(facts.get("rustc").and_then(Json::as_str).is_some());
     }
 
     #[test]

@@ -16,10 +16,11 @@
 //! the claim fast path), not scheduler jitter on shared CI hardware.
 
 use crate::microbench::{bench, BenchStats};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use subsub_kernels::common::{det_sum_on, restore};
 use subsub_kernels::kernel_by_name;
-use subsub_omprt::{Schedule, ThreadPool};
+use subsub_omprt::{CachePadded, Schedule, SendPtr, ThreadPool};
 use subsub_rtcheck::{
     composed_verdict, inspect_serial, BlockSummaries, Provenance, ValidatedIndexArray,
 };
@@ -29,9 +30,19 @@ use subsub_telemetry::json::{parse, Json};
 /// Symmetric relative tolerance band around each baseline median.
 pub const DEFAULT_TOLERANCE: f64 = 0.25;
 
-/// Threads used by the fork-join latency entry (pinned so the baseline
-/// is comparable across runs).
+/// Threads of the fork-join and pooled-epilogue entries' team, capped
+/// at the host's cores (pinned so the baseline is comparable across
+/// runs on one host).
 pub const FORKJOIN_THREADS: usize = 4;
+
+/// Elements of `forkjoin/region-192`'s panel: CHOLMOD-Supernodal's.
+pub const FORKJOIN_PANEL: usize = 192;
+
+/// Panels of the factor `forkjoin/region-192` walks (12 MiB of `f64`).
+pub const FORKJOIN_PANELS: usize = 8192;
+
+/// Nonzeros of `forkjoin/reduce-7`'s row: AMGmk's 7-point stencil.
+pub const FORKJOIN_ROW: usize = 7;
 
 /// Elements scanned by the inspector-throughput entries.
 pub const INSPECT_LEN: usize = 65_536;
@@ -52,13 +63,55 @@ pub const EPILOGUE_LEN: usize = 8 << 20;
 /// Requests per burst in the service-throughput entry.
 pub const SERVICE_BURST: usize = 16;
 
+/// Rows that measure what the host charges, for the rows beside them to
+/// be read against: reported with their baseline, never a failure.
+pub const REFERENCE_ROWS: &[&str] = &["forkjoin/flag-round-trip"];
+
 /// Runs the pinned suite and returns one stats row per entry.
 pub fn run_suite() -> Vec<BenchStats> {
     let mut out = Vec::new();
 
-    let pool = ThreadPool::new(FORKJOIN_THREADS);
+    // Fork-join rows, on a team capped at the host's cores (a wider one
+    // times the scheduler). Each names the call, the body and therefore
+    // who executes the tids: an empty body is over before a worker sees
+    // its slot, so the coordinator absorbs the region; the CHOLMOD-shaped
+    // panel scale and the AMGmk-shaped row reduction are the two regions
+    // `exec-inner` opens tens of thousands of times per request. They
+    // are held against the first row: what this host charges two threads
+    // for moving one cache line out and one back, measured in this run
+    // (before the team exists: its idle workers would share the cores).
+    out.push(flag_round_trip());
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let team = ThreadPool::new(FORKJOIN_THREADS.min(cores));
     out.push(bench("forkjoin/empty-region", || {
-        pool.parallel_for(FORKJOIN_THREADS, Schedule::static_default(), |_| {});
+        team.parallel_for(team.threads(), Schedule::static_default(), |_| {});
+    }));
+    // Panel after panel of a factor too large for L2, as the kernel walks
+    // its own: each region's elements are new to both threads.
+    let mut factor = vec![1.0f64; FORKJOIN_PANEL * FORKJOIN_PANELS];
+    let l = SendPtr::new(factor.as_mut_ptr());
+    let mut panel = 0;
+    out.push(bench("forkjoin/region-192", || {
+        let lo = panel * FORKJOIN_PANEL;
+        panel = (panel + 1) % FORKJOIN_PANELS;
+        let d = std::hint::black_box(1.000_000_1f64);
+        team.parallel_for(FORKJOIN_PANEL, Schedule::static_default(), |i| {
+            // SAFETY: iteration `i` writes element `lo + i` only, inside
+            // panel `lo / FORKJOIN_PANEL` of the factor.
+            unsafe { *l.get().add(lo + i) *= d };
+        });
+    }));
+    std::hint::black_box(&factor);
+    let values = [0.5f64; FORKJOIN_ROW];
+    let x = [2.0f64; FORKJOIN_ROW];
+    out.push(bench("forkjoin/reduce-7", || {
+        std::hint::black_box(team.parallel_for_reduce(
+            FORKJOIN_ROW,
+            Schedule::static_default(),
+            0.0f64,
+            |acc, k| acc + values[k] * x[k],
+            |p, q| p + q,
+        ));
     }));
 
     let ramp: Vec<usize> = (0..INSPECT_LEN).collect();
@@ -147,8 +200,6 @@ pub fn run_suite() -> Vec<BenchStats> {
     // and pooled. The team is capped at the host's cores: two memory-bound
     // runs per core take turns being descheduled mid-run, and the
     // oversubscribed rows swung 2x between runs on a 2-core host.
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let team = ThreadPool::new(FORKJOIN_THREADS.min(cores));
     let pristine: Vec<f64> = (0..EPILOGUE_LEN).map(|i| (i % 9) as f64 * 0.1).collect();
     let mut live = pristine.clone();
     for (tag, team) in [("serial", None), ("pooled", Some(&team))] {
@@ -241,6 +292,53 @@ pub fn run_suite() -> Vec<BenchStats> {
     out
 }
 
+/// The reference row of the `forkjoin/*` entries: one cache line handed
+/// to a second thread and one handed back, the least two threads can pay
+/// to start a region and to join it. Both sides wait as the pool does
+/// (spin, then yield), so a host that takes the second core away
+/// mid-run still finishes.
+fn flag_round_trip() -> BenchStats {
+    /// Ends the exchange.
+    const STOP: u64 = u64::MAX;
+    fn await_turn(flag: &AtomicU64, turn: u64) -> u64 {
+        let mut polls = 0u32;
+        loop {
+            let v = flag.load(Ordering::Acquire);
+            if v == turn || v == STOP {
+                return v;
+            }
+            polls += 1;
+            if polls < 64 {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+    let ping = CachePadded::new(AtomicU64::new(0));
+    let pong = CachePadded::new(AtomicU64::new(0));
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for turn in 1.. {
+                let seen = await_turn(&ping, turn);
+                pong.store(seen, Ordering::Release);
+                if seen == STOP {
+                    return;
+                }
+            }
+        });
+        let mut turn = 0u64;
+        let stats = bench("forkjoin/flag-round-trip", || {
+            turn += 1;
+            ping.store(turn, Ordering::Release);
+            await_turn(&pong, turn);
+        });
+        ping.store(STOP, Ordering::Release);
+        await_turn(&pong, STOP);
+        stats
+    })
+}
+
 /// Renders suite results as the committed baseline document.
 pub fn baseline_json(results: &[BenchStats]) -> String {
     let entries = results
@@ -298,6 +396,9 @@ pub enum GateStatus {
     /// Present in the suite but absent from the baseline: fails the
     /// gate (the baseline must be refreshed when the suite grows).
     Missing,
+    /// A [`REFERENCE_ROWS`] entry: times the host, not this code, so it
+    /// is printed beside the rows held against it and never gated.
+    Reference,
 }
 
 /// One row of the gate report.
@@ -330,6 +431,7 @@ pub fn compare(results: &[BenchStats], baseline: &[(String, u64)], tolerance: f6
             let current_ns = u64::try_from(s.median_ns).unwrap_or(u64::MAX);
             let baseline_ns = baseline.iter().find(|(n, _)| *n == s.name).map(|(_, m)| *m);
             let status = match baseline_ns {
+                _ if REFERENCE_ROWS.contains(&s.name.as_str()) => GateStatus::Reference,
                 None => GateStatus::Missing,
                 Some(base) => {
                     let base = base.max(1) as f64;
@@ -409,6 +511,14 @@ mod tests {
         assert_eq!(rows[3].status, GateStatus::Missing);
         assert!(!passes(&rows));
         assert!(passes(&rows[..2]));
+        // A reference row is never held against its baseline.
+        let host = compare(
+            &[stats(REFERENCE_ROWS[0], 3000)],
+            &[(REFERENCE_ROWS[0].into(), 200)],
+            0.25,
+        );
+        assert_eq!(host[0].status, GateStatus::Reference);
+        assert!(passes(&host));
     }
 
     #[test]

@@ -1,29 +1,22 @@
-//! Lock-free fork-join synchronization primitives.
+//! Waiting primitives shared by both sides of the fork-join protocol.
 //!
-//! The pool's hot path is built from three pieces:
+//! The protocol itself — one epoch-stamped word per tid — lives in
+//! [`crate::pool`]; this module holds what every wait on those words has
+//! in common: the cache-line padding, the spin policy and the parked
+//! fallback.
 //!
-//! * an [`EpochGate`] — a monotonically increasing `AtomicU64` epoch that
-//!   the coordinator bumps to release the team into a new region (the
-//!   sense-reversing-barrier idea, with the counter itself as the sense);
-//! * a [`ClaimCursor`] — an epoch-stamped cursor the whole team (the
-//!   coordinating caller included) claims tids from, so whoever is
-//!   actually running executes the work;
-//! * a [`JoinLatch`] — one cache-line-padded completion slot per tid;
-//!   the claimer publishes the epoch it finished and the coordinator
-//!   scans the slots, so completion never contends on a shared counter.
-//!
-//! Both sides wait with a *spin-then-park* policy: a bounded spin on the
-//! atomic (busy `spin_loop` hints first, then `yield_now` so the policy
-//! stays civil when threads outnumber cores), falling back to a
-//! mutex/condvar park only after the budget is exhausted. The parked
-//! path uses the classic Dekker handshake — the sleeper advertises
-//! itself with a `SeqCst` counter *before* re-checking the atomic, and
-//! the publisher stores with `SeqCst` *before* reading the counter — so
-//! a wakeup can never be missed while the common case stays entirely
-//! lock-free.
+//! Both sides wait *spin-then-park*: a bounded spin on the atomic (busy
+//! `spin_loop` hints first, then `yield_now` so the policy stays civil
+//! when threads outnumber cores), falling back to a mutex/condvar park
+//! only after the budget is exhausted. The parked path is the classic
+//! Dekker handshake — the sleeper advertises itself with a `SeqCst`
+//! counter *before* re-checking the atomic, and the publisher orders its
+//! store with `SeqCst` *before* reading the counter — so a wakeup can
+//! never be missed while the common case stays entirely lock-free.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Pads and aligns a value to a 64-byte cache line so adjacent slots in
 /// an array never false-share.
@@ -37,11 +30,6 @@ impl<T> CachePadded<T> {
     /// Wraps a value.
     pub fn new(value: T) -> CachePadded<T> {
         CachePadded { value }
-    }
-
-    /// Unwraps the value.
-    pub fn into_inner(self) -> T {
-        self.value
     }
 }
 
@@ -78,13 +66,13 @@ pub fn spin_budget() -> u32 {
     })
 }
 
-/// Polls `ready` under the spin budget. Returns the first `Some`, or
-/// `None` once the budget is exhausted (caller should park).
-fn spin_poll<T>(mut ready: impl FnMut() -> Option<T>) -> Option<T> {
+/// Polls `ready` under the spin budget; `false` once the budget is
+/// exhausted (caller should park).
+fn spin_poll(mut ready: impl FnMut() -> bool) -> bool {
     let budget = spin_budget();
     for i in 0..budget {
-        if let Some(v) = ready() {
-            return Some(v);
+        if ready() {
+            return true;
         }
         if i < SPIN_BEFORE_YIELD {
             std::hint::spin_loop();
@@ -95,251 +83,64 @@ fn spin_poll<T>(mut ready: impl FnMut() -> Option<T>) -> Option<T> {
     ready()
 }
 
-/// The release side of the fork-join barrier: workers wait for the epoch
-/// to move past the value they last served.
-#[derive(Debug)]
-pub struct EpochGate {
-    epoch: CachePadded<AtomicU64>,
-    /// Workers currently parked on the condvar (Dekker flag).
-    sleepers: AtomicUsize,
+/// The parked half of a spin-then-park wait on some atomic the caller
+/// owns. The pool has two: idle workers between regions, and the
+/// coordinator inside a join.
+#[derive(Debug, Default)]
+pub struct Parker {
+    /// Threads parked, or committed to parking (the Dekker flag).
+    parked: AtomicUsize,
     lock: Mutex<()>,
     cv: Condvar,
 }
 
-impl Default for EpochGate {
-    fn default() -> EpochGate {
-        EpochGate::new()
-    }
-}
-
-impl EpochGate {
-    /// A closed gate at epoch 0.
-    pub fn new() -> EpochGate {
-        EpochGate {
-            epoch: CachePadded::new(AtomicU64::new(0)),
-            sleepers: AtomicUsize::new(0),
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
+impl Parker {
+    /// Waits (spin, then park) until `ready` holds, or — with a `timeout`
+    /// — until it elapses, which returns `false`: that is how the
+    /// coordinator interleaves its watchdog scan with the join. `ready`
+    /// must read its atomics with `SeqCst`.
+    pub fn wait(&self, timeout: Option<Duration>, mut ready: impl FnMut() -> bool) -> bool {
+        if spin_poll(&mut ready) {
+            return true;
         }
+        // Advertise before the final re-check (pairs with `wake`'s
+        // publish-then-load).
+        self.parked.fetch_add(1, Ordering::SeqCst);
+        let deadline = timeout.map(|t| Instant::now() + t);
+        let mut g = lock(&self.lock);
+        while !ready() {
+            let left = match deadline {
+                None => Duration::MAX,
+                Some(dl) => dl.saturating_duration_since(Instant::now()),
+            };
+            if left.is_zero() {
+                break;
+            }
+            let (g2, _) = self
+                .cv
+                .wait_timeout(g, left)
+                .unwrap_or_else(|p| p.into_inner());
+            g = g2;
+        }
+        drop(g);
+        self.parked.fetch_sub(1, Ordering::SeqCst);
+        ready()
     }
 
-    /// Current epoch.
-    pub fn current(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
-    }
-
-    /// Bumps the epoch, releasing every waiter, and returns the new
-    /// value. Everything written before this call is visible to a waiter
-    /// that observes the new epoch.
-    pub fn open_next(&self) -> u64 {
-        let next = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
+    /// Wakes every parked waiter if there is one and `worth_it` says so
+    /// (evaluated only when somebody is parked). The caller must have
+    /// ordered what the waiters' `ready` reads before this call with
+    /// `SeqCst` — a `SeqCst` store or RMW, or a `SeqCst` fence after
+    /// weaker stores.
+    pub fn wake(&self, worth_it: impl FnOnce() -> bool) {
+        if self.parked.load(Ordering::SeqCst) > 0 && worth_it() {
             // Acquiring (and immediately releasing) the lock closes the
-            // window between a sleeper's last epoch check and its wait;
+            // window between a sleeper's last check and its wait;
             // notifying *after* the unlock spares the woken thread an
             // immediate block on the mutex.
             drop(lock(&self.lock));
             self.cv.notify_all();
         }
-        next
-    }
-
-    /// Waits (spin, then park) until the epoch differs from `seen`;
-    /// returns the new epoch.
-    pub fn wait_past(&self, seen: u64) -> u64 {
-        let check = || {
-            let e = self.epoch.load(Ordering::SeqCst);
-            (e != seen).then_some(e)
-        };
-        if let Some(e) = spin_poll(check) {
-            return e;
-        }
-        // Park: advertise before the final re-check (Dekker pairing with
-        // `open_next`'s store-then-load).
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        let mut g = lock(&self.lock);
-        let e = loop {
-            let e = self.epoch.load(Ordering::SeqCst);
-            if e != seen {
-                break e;
-            }
-            g = self.cv.wait(g).unwrap_or_else(|p| p.into_inner());
-        };
-        drop(g);
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
-        e
-    }
-}
-
-/// Bits of the claim word holding the tid cursor.
-const TID_BITS: u32 = 16;
-const TID_MASK: u64 = (1 << TID_BITS) - 1;
-/// Epochs are truncated to the remaining 48 bits inside the claim word;
-/// the pool would need ~9 years of back-to-back microsecond regions to
-/// wrap.
-pub const EPOCH_MASK: u64 = u64::MAX >> TID_BITS;
-
-/// The work-distribution side of the barrier: one epoch-stamped cursor
-/// from which every team member — the coordinating caller included —
-/// claims tids with a single CAS.
-///
-/// Packing `(epoch << 16) | next_tid` into one `AtomicU64` makes a claim
-/// self-validating: a CAS can only succeed against the *current*
-/// region's word, so a worker that overslept an entire region (or three)
-/// can never claim into a dead one. This is what lets the coordinator
-/// absorb tids itself instead of blocking on worker wake-ups: on an
-/// oversubscribed machine it typically claims the whole team's tids
-/// back-to-back with zero context switches, while on a multicore machine
-/// spinning workers win the CAS races and the region runs genuinely in
-/// parallel.
-#[derive(Debug)]
-pub struct ClaimCursor {
-    word: CachePadded<AtomicU64>,
-}
-
-impl Default for ClaimCursor {
-    fn default() -> ClaimCursor {
-        ClaimCursor::new()
-    }
-}
-
-impl ClaimCursor {
-    /// A cursor with every region exhausted (nothing claimable).
-    pub fn new() -> ClaimCursor {
-        ClaimCursor {
-            word: CachePadded::new(AtomicU64::new(TID_MASK)),
-        }
-    }
-
-    /// Opens region `epoch`: tids `0..threads` become claimable.
-    pub fn open(&self, epoch: u64) {
-        self.word
-            .store((epoch & EPOCH_MASK) << TID_BITS, Ordering::SeqCst);
-    }
-
-    /// Number of tids already claimed in region `epoch` (0 when the
-    /// cursor is parked on a different region). Tids `0..claimed` have
-    /// been handed out; the watchdog uses this to tell a claimed-but-
-    /// unattributed tid from one that was simply never claimed.
-    pub fn claimed(&self, epoch: u64, threads: usize) -> usize {
-        let cur = self.word.load(Ordering::SeqCst);
-        if cur >> TID_BITS == epoch & EPOCH_MASK {
-            ((cur & TID_MASK) as usize).min(threads)
-        } else {
-            0
-        }
-    }
-
-    /// Claims the next tid of the current region, if any. Returns the
-    /// region's (truncated) epoch and the claimed tid.
-    pub fn try_claim(&self, threads: usize) -> Option<(u64, usize)> {
-        loop {
-            let cur = self.word.load(Ordering::SeqCst);
-            let tid = (cur & TID_MASK) as usize;
-            if tid >= threads {
-                return None;
-            }
-            // tid occupies the low bits, so +1 can never carry into the
-            // epoch while tid < threads <= TID_MASK.
-            if self
-                .word
-                .compare_exchange(cur, cur + 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                return Some((cur >> TID_BITS, tid));
-            }
-        }
-    }
-}
-
-/// The join side of the barrier: one cache-line-padded completion slot
-/// per tid, holding the (truncated) epoch in which that tid last
-/// finished. Whoever executed a tid marks its slot; the coordinator
-/// waits for every slot to reach the current epoch.
-#[derive(Debug)]
-pub struct JoinLatch {
-    slots: Vec<CachePadded<AtomicU64>>,
-    /// Coordinator is parked (Dekker flag).
-    waiting: AtomicUsize,
-    lock: Mutex<()>,
-    cv: Condvar,
-}
-
-impl JoinLatch {
-    /// A latch for `threads` tids, all at epoch 0.
-    pub fn new(threads: usize) -> JoinLatch {
-        JoinLatch {
-            slots: (0..threads)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
-            waiting: AtomicUsize::new(0),
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn complete(&self, epoch: u64) -> Option<()> {
-        self.slots
-            .iter()
-            .all(|s| s.load(Ordering::SeqCst) >= epoch)
-            .then_some(())
-    }
-
-    /// Reports that tid `tid` completed `epoch`. Wakes the coordinator
-    /// only when it is parked *and* this was the region's last tid, so
-    /// stragglers cause no spurious wake-ups.
-    ///
-    /// The slot advances with `fetch_max`, never a plain store: a
-    /// straggler that finishes a tid *after* the watchdog already
-    /// force-marked it (an abandoned region) must not drag the slot back
-    /// below an epoch the coordinator has since moved past.
-    pub fn mark(&self, tid: usize, epoch: u64) {
-        self.slots[tid].fetch_max(epoch, Ordering::SeqCst);
-        if self.waiting.load(Ordering::SeqCst) > 0 && self.complete(epoch).is_some() {
-            drop(lock(&self.lock));
-            self.cv.notify_all();
-        }
-    }
-
-    /// Whether tid `tid` has completed `epoch` (watchdog predicate).
-    pub fn is_marked(&self, tid: usize, epoch: u64) -> bool {
-        self.slots[tid].load(Ordering::SeqCst) >= epoch
-    }
-
-    /// Waits (spin, then park) until every tid has completed `epoch`.
-    pub fn wait_all(&self, epoch: u64) {
-        while !self.wait_all_for(epoch, std::time::Duration::from_millis(100)) {}
-    }
-
-    /// Waits (spin, then park with a timeout) until every tid has
-    /// completed `epoch` or `timeout` elapses. Returns whether the join
-    /// is complete — `false` hands control back to the caller, which is
-    /// how the pool's coordinator interleaves its watchdog scan with the
-    /// join wait.
-    pub fn wait_all_for(&self, epoch: u64, timeout: std::time::Duration) -> bool {
-        if spin_poll(|| self.complete(epoch)).is_some() {
-            return true;
-        }
-        self.waiting.fetch_add(1, Ordering::SeqCst);
-        let deadline = std::time::Instant::now() + timeout;
-        let mut g = lock(&self.lock);
-        let done = loop {
-            if self.complete(epoch).is_some() {
-                break true;
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                break false;
-            }
-            let (g2, _) = self
-                .cv
-                .wait_timeout(g, deadline - now)
-                .unwrap_or_else(|p| p.into_inner());
-            g = g2;
-        };
-        drop(g);
-        self.waiting.fetch_sub(1, Ordering::SeqCst);
-        done
     }
 }
 
@@ -352,6 +153,7 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
     #[test]
@@ -360,47 +162,32 @@ mod tests {
         assert_eq!(std::mem::align_of::<CachePadded<u8>>(), 64);
         let mut p = CachePadded::new(5u32);
         *p += 1;
-        assert_eq!(p.into_inner(), 6);
+        assert_eq!(*p, 6);
     }
 
     #[test]
-    fn gate_releases_a_parked_waiter() {
-        let gate = Arc::new(EpochGate::new());
-        let g2 = Arc::clone(&gate);
-        let h = std::thread::spawn(move || g2.wait_past(0));
-        // Give the waiter time to exhaust its spin budget and park.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let next = gate.open_next();
-        assert_eq!(h.join().unwrap(), next);
-    }
-
-    #[test]
-    fn latch_round_trip() {
-        let latch = Arc::new(JoinLatch::new(3));
-        let l2 = Arc::clone(&latch);
+    fn parker_releases_a_parked_waiter() {
+        let shared = Arc::new((Parker::default(), AtomicU64::new(0)));
+        let s2 = Arc::clone(&shared);
         let h = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            for tid in 0..3 {
-                l2.mark(tid, 1);
-            }
+            let (parker, flag) = &*s2;
+            parker.wait(None, || flag.load(Ordering::SeqCst) == 7)
         });
-        latch.wait_all(1);
-        h.join().unwrap();
+        // Nothing is published before the waiter has run out of spin
+        // budget and parked, so the wake below is the one under test.
+        let (parker, flag) = &*shared;
+        while parker.parked.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        flag.store(7, Ordering::SeqCst);
+        parker.wake(|| true);
+        assert!(h.join().expect("waiter"));
     }
 
     #[test]
-    fn claims_are_exhaustive_and_epoch_scoped() {
-        let c = ClaimCursor::new();
-        assert!(c.try_claim(4).is_none(), "fresh cursor is exhausted");
-        c.open(7);
-        let mut tids = Vec::new();
-        while let Some((e, tid)) = c.try_claim(4) {
-            assert_eq!(e, 7);
-            tids.push(tid);
-        }
-        assert_eq!(tids, vec![0, 1, 2, 3]);
-        assert!(c.try_claim(4).is_none(), "region drained");
-        c.open(8);
-        assert_eq!(c.try_claim(4), Some((8, 0)));
+    fn timed_wait_hands_control_back() {
+        let parker = Parker::default();
+        assert!(!parker.wait(Some(Duration::from_millis(1)), || false));
+        assert_eq!(parker.parked.load(Ordering::SeqCst), 0);
     }
 }

@@ -14,6 +14,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// A shareable one-way cancellation flag.
+///
+/// Inside an `Arc` the flag shares a cache line with the reference
+/// counts, and every thread of a region polls it per iteration: whoever
+/// runs regions under a token borrows it ([`with_ambient`]) instead of
+/// cloning the handle per region.
 #[derive(Debug, Default)]
 pub struct CancelToken {
     cancelled: AtomicBool,
@@ -72,6 +77,26 @@ pub fn ambient_cancel() -> Option<Arc<CancelToken>> {
     AMBIENT.with(|s| s.borrow().last().cloned())
 }
 
+/// Runs `f` with the token a region should poll: `explicit` if the
+/// caller passed one, else the innermost ambient token, lent for the
+/// length of the call without touching its reference count — where
+/// [`ambient_cancel`] would clone and drop the handle once per region.
+pub(crate) fn with_ambient<R>(
+    explicit: Option<&CancelToken>,
+    f: impl FnOnce(Option<&CancelToken>) -> R,
+) -> R {
+    if explicit.is_some() {
+        return f(explicit);
+    }
+    let top: Option<*const CancelToken> = AMBIENT.with(|s| s.borrow().last().map(Arc::as_ptr));
+    // SAFETY: the entry was pushed by a `with_ambient_cancel` frame
+    // below this one on this thread's stack, and the stack keeps its
+    // `Arc` until that frame returns — after `f` has. A scope opened
+    // inside `f` pushes above the entry and pops its own push before it
+    // returns, unwinding included, so the entry is never removed early.
+    f(top.map(|p| unsafe { &*p }))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,6 +113,7 @@ mod tests {
     #[test]
     fn ambient_scope_nests_and_restores() {
         assert!(ambient_cancel().is_none());
+        with_ambient(None, |t| assert!(t.is_none()));
         let outer = Arc::new(CancelToken::new());
         let inner = Arc::new(CancelToken::new());
         with_ambient_cancel(&outer, || {
@@ -100,6 +126,16 @@ mod tests {
                     &ambient_cancel().expect("inner installed"),
                     &inner
                 ));
+                // A region borrows the same token without counting it,
+                // unless its caller passed one.
+                let held = Arc::strong_count(&inner);
+                with_ambient(None, |t| {
+                    assert!(std::ptr::eq(t.expect("lent"), &*inner));
+                    assert_eq!(Arc::strong_count(&inner), held);
+                });
+                with_ambient(Some(&outer), |t| {
+                    assert!(std::ptr::eq(t.expect("explicit wins"), &*outer));
+                });
             });
             assert!(Arc::ptr_eq(
                 &ambient_cancel().expect("outer restored"),

@@ -1,31 +1,39 @@
 //! A persistent worker thread pool with OpenMP-style `parallel for`,
 //! self-healing against worker faults.
 //!
-//! Workers are spawned once and wait between parallel regions on a
-//! lock-free [`EpochGate`]; a region is one epoch. The fork-join hot
-//! path takes no locks:
+//! Workers are spawned once and a region is one epoch. The whole
+//! fork-join protocol is **one word per tid**: a cache-line-padded
+//! [`Slot`] holding `(epoch << 18) | (who << 2) | state` next to the
+//! region's erased job pointer, and moving
 //!
-//! * **fork** — the coordinator writes the job as a *single erased
-//!   pointer* into a plain slot (no per-worker `Arc` clones, no job
-//!   mutex), opens the [`ClaimCursor`] for the new epoch, and bumps the
-//!   gate; the cursor's `SeqCst` transition publishes the slot;
-//! * **execute** — every team member, *the coordinating caller
-//!   included*, claims tids from the cursor with one CAS each and calls
-//!   the borrowed closure directly through the pointer. The coordinator
-//!   claims whatever tids no worker has taken yet: on an oversubscribed
-//!   machine (or a 1-thread pool) it absorbs the whole region with zero
-//!   context switches, while on a multicore machine the spinning workers
-//!   win the claims and the region runs in parallel — fork-join overhead
-//!   adapts to what the hardware can actually overlap;
-//! * **join** — whoever executed a tid stores the finished epoch into
-//!   that tid's cache-line-padded [`JoinLatch`] slot; the coordinator
-//!   scans the slots, and only the region's last completion wakes a
-//!   parked coordinator.
+//! ```text
+//!   DONE(e-1) --open--> OPEN(e) --claim--> CLAIMED(e, who)
+//!                                  --start--> STARTED(e, who) --finish--> DONE(e)
+//! ```
+//!
+//! * **fork** — the coordinator writes the job pointer into each slot's
+//!   line and stores `OPEN(e)` there; worker `w` waits on slot `w`, its
+//!   home tid, and on nothing else;
+//! * **claim** — one CAS `OPEN(e) → CLAIMED(e, who)` on that line, so a
+//!   tid is never claimed without being attributed. Worker `w` claims
+//!   only tid `w`; the coordinating caller claims, in tid order, every
+//!   slot still open once it has published them all. On an
+//!   oversubscribed machine (or a 1-thread pool) it so absorbs the whole
+//!   region with zero context switches, while on a multicore machine the
+//!   spinning workers win their home slots and the region runs in
+//!   parallel — fork-join overhead adapts to what the hardware can
+//!   actually overlap. A worker that keeps losing its tid backs off;
+//! * **join** — whoever ran a tid moves its slot `STARTED(e, who) →
+//!   DONE(e)` by CAS, which can never land on a newer epoch; the
+//!   coordinator scans the slots, and only the region's last completion
+//!   wakes a parked coordinator.
+//!
+//! A region with no panic, no dead worker and no parked thread
+//! allocates nothing and takes no lock (DESIGN.md §5b lists its atomics).
 //!
 //! All waits are spin-then-park ([`crate::barrier`]): bounded spinning
 //! keeps back-to-back regions syscall-free, parking keeps an idle pool
-//! off the CPU. Measured fork-join latency versus the retained
-//! mutex/condvar design ([`crate::legacy`]) is reported by the
+//! off the CPU. Measured fork-join latency is reported by the
 //! `forkjoin_calibrate` binary and committed in `BENCH_forkjoin.json`.
 //!
 //! Because tids may execute on fewer OS threads than `threads()`, jobs
@@ -42,26 +50,14 @@
 //!
 //! # Fault model and self-healing
 //!
-//! Each claim is *attributed*: the claimer records `(epoch, who,
-//! claimed|started)` in a cache-padded per-tid slot before and after the
-//! instant it begins the job. While the coordinator waits for the join
-//! it runs a **watchdog** every [`WATCHDOG_TICK`]: if a worker thread
-//! has died (detected with `JoinHandle::is_finished`) the watchdog
-//! consults the records for every unjoined tid the dead worker claimed —
-//!
-//! * **claimed but never started** → the tid's job has had no effect, so
-//!   the coordinator *reclaims* it: it executes the job itself and marks
-//!   the join, and the region completes normally (counted in
-//!   [`PoolHealth::reclaimed_tids`]);
-//! * **started** → exactly-once execution can no longer be guaranteed,
-//!   so the region *aborts cleanly*: the orphaned slot is force-marked
-//!   (so the join terminates, never deadlocks) and the region returns
-//!   [`RegionError::WorkerLost`].
-//!
-//! Dead workers are respawned before the next region
-//! ([`PoolHealth::respawned_workers`]); the team never shrinks
-//! permanently. Join marks use `fetch_max`, so a straggler finishing an
-//! abandoned tid later cannot corrupt a newer region's join.
+//! While the coordinator waits for the join it runs a **watchdog** every
+//! [`WATCHDOG_TICK`] over the same slot words (DESIGN.md §5c): a slot a
+//! dead worker left `CLAIMED` had no effect yet, so the coordinator
+//! *reclaims* it — runs the job itself — and the region completes
+//! ([`PoolHealth::reclaimed_tids`]); one left `STARTED` can no longer be
+//! run exactly once, so it is forced to `DONE` and the region *aborts
+//! cleanly* with [`RegionError::WorkerLost`]. Dead workers are respawned
+//! before the next region ([`PoolHealth::respawned_workers`]).
 //!
 //! **Panics.** A panicking job does not deadlock the pool: the claimer
 //! catches the unwind, records the first payload, reports completion,
@@ -77,15 +73,16 @@
 //!
 //! Chaos tests drive these paths deterministically through the
 //! `subsub-failpoint` sites `omprt.worker.wake`, `omprt.worker.claim`,
-//! `omprt.region.fork`, `omprt.region.join` and `omprt.reduce.slot`.
+//! `omprt.worker.job`, `omprt.region.fork`, `omprt.region.join` and
+//! `omprt.reduce.slot`.
 
-use crate::barrier::{CachePadded, ClaimCursor, EpochGate, JoinLatch, EPOCH_MASK};
-use crate::cancel::CancelToken;
+use crate::barrier::{CachePadded, Parker};
+use crate::cancel::{with_ambient, CancelToken};
 use crate::schedule::{dynamic_batch, guided_claim, static_chunks, Schedule};
 use crate::sendptr::SendPtr;
 use std::cell::UnsafeCell;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -97,35 +94,131 @@ use subsub_telemetry::{EventKind, Phase};
 /// duration of exactly one region.
 type RawJob = *const (dyn Fn(usize) + Sync);
 
+/// What a slot's job cell holds before the first region.
+const NO_JOB: &(dyn Fn(usize) + Sync) = &|_| {};
+
 /// How often the joining coordinator interleaves a watchdog scan with
 /// its park. Healthy regions never reach the first tick: the join
 /// completes inside the spin budget.
 pub const WATCHDOG_TICK: Duration = Duration::from_millis(2);
 
-/// Claimer id of the coordinating caller in a claim record.
+/// Claimer id of the coordinating caller in a slot word.
 const COORD: u16 = u16::MAX;
 
-/// Claim-record states (low two bits of the record word).
-const REC_CLAIMED: u64 = 1;
-const REC_STARTED: u64 = 2;
-const REC_WHO_SHIFT: u32 = 2;
-const REC_WHO_MASK: u64 = 0xFFFF;
-const REC_EPOCH_SHIFT: u32 = 18;
+/// Slot states (low two bits of the slot word), in protocol order.
+const OPEN: u64 = 0;
+const CLAIMED: u64 = 1;
+const STARTED: u64 = 2;
+const DONE: u64 = 3;
+const WHO_SHIFT: u32 = 2;
+const WHO_MASK: u64 = 0xFFFF;
+const EPOCH_SHIFT: u32 = 18;
+/// Epochs are truncated to the 46 bits above the claimer id and compared
+/// for equality only, so a wrap (two years of back-to-back microsecond
+/// regions away) is harmless.
+const EPOCH_MASK: u64 = u64::MAX >> EPOCH_SHIFT;
 
-fn record(epoch: u64, who: u16, state: u64) -> u64 {
-    (epoch << REC_EPOCH_SHIFT) | (u64::from(who) << REC_WHO_SHIFT) | state
+fn word(epoch: u64, who: u16, state: u64) -> u64 {
+    (epoch << EPOCH_SHIFT) | (u64::from(who) << WHO_SHIFT) | state
 }
 
-fn record_matches_epoch(rec: u64, epoch: u64) -> bool {
-    rec >> REC_EPOCH_SHIFT == (epoch << REC_EPOCH_SHIFT) >> REC_EPOCH_SHIFT
+fn epoch_of(word: u64) -> u64 {
+    word >> EPOCH_SHIFT
 }
 
-fn record_who(rec: u64) -> u16 {
-    ((rec >> REC_WHO_SHIFT) & REC_WHO_MASK) as u16
+fn who_of(word: u64) -> u16 {
+    ((word >> WHO_SHIFT) & WHO_MASK) as u16
 }
 
-fn record_state(rec: u64) -> u64 {
-    rec & 0b11
+fn state_of(word: u64) -> u64 {
+    word & 0b11
+}
+
+/// One tid's whole share of the fork-join protocol, on a cache line of
+/// its own: the epoch-stamped state word and the region's job pointer.
+/// One method per edge of the module docs' diagram; every access to the
+/// word is `SeqCst` except the `Release` in `open`, which the
+/// coordinator follows with a `SeqCst` fence.
+#[repr(align(64))]
+struct Slot {
+    word: AtomicU64,
+    /// Written by `open`, read between a successful `claim` and that
+    /// claim's `finish`.
+    job: UnsafeCell<RawJob>,
+}
+
+// SAFETY: `job` is written only by the single coordinator while the
+// word is `DONE` (the previous region joined, so no claim is live and
+// nobody can reach the cell) and read only under a live claim; the
+// `Release` store of `OPEN` after the write and the claimer's `SeqCst`
+// CAS that read it order the write before every read. The pointee is
+// `Sync` and outlives the region (see `ThreadPool::region`).
+unsafe impl Send for Slot {}
+unsafe impl Sync for Slot {}
+
+impl Slot {
+    fn new() -> Slot {
+        Slot {
+            word: AtomicU64::new(word(0, COORD, DONE)),
+            job: UnsafeCell::new(NO_JOB),
+        }
+    }
+
+    fn load(&self) -> u64 {
+        self.word.load(Ordering::SeqCst)
+    }
+
+    /// Publishes `job` as region `epoch`'s work for this tid.
+    /// Coordinator only, and only once the previous region has joined.
+    fn open(&self, epoch: u64, job: RawJob) {
+        // SAFETY: the word is `DONE`, so no claim is live (see the
+        // `Sync` impl).
+        unsafe { *self.job.get() = job };
+        self.word.store(word(epoch, 0, OPEN), Ordering::Release);
+    }
+
+    fn cas(&self, from: u64, to: u64) -> bool {
+        self.word
+            .compare_exchange(from, to, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+    }
+
+    /// Claims the tid for `who`, given the `OPEN` word it saw. Fails if
+    /// anything happened to the slot since — somebody else claimed it,
+    /// or the region `seen` belongs to is over.
+    fn claim(&self, seen: u64, who: u16) -> bool {
+        state_of(seen) == OPEN && self.cas(seen, word(epoch_of(seen), who, CLAIMED))
+    }
+
+    /// Marks the claimed tid as running: from here its job may have had
+    /// effects. Claimer only.
+    fn start(&self, epoch: u64, who: u16) {
+        self.word.store(word(epoch, who, STARTED), Ordering::SeqCst);
+    }
+
+    /// Reports the tid complete. A CAS, not a store: a straggler
+    /// finishing a tid the watchdog already abandoned must not touch the
+    /// word of the region the coordinator has since moved on to.
+    fn finish(&self, epoch: u64, who: u16) -> bool {
+        self.cas(word(epoch, who, STARTED), word(epoch, who, DONE))
+    }
+
+    /// Watchdog: takes over a tid a dead worker claimed and never
+    /// started. Fails if the worker did start it before dying.
+    fn reclaim(&self, claimed: u64) -> bool {
+        self.cas(claimed, word(epoch_of(claimed), COORD, STARTED))
+    }
+
+    /// Watchdog: forces a tid whose executor died mid-job to `DONE` so
+    /// the join terminates.
+    fn abandon(&self, epoch: u64) {
+        self.word.store(word(epoch, COORD, DONE), Ordering::SeqCst);
+    }
+
+    fn is_done(&self, epoch: u64) -> bool {
+        let w = self.load();
+        epoch_of(w) == epoch && state_of(w) == DONE
+    }
 }
 
 /// Why a fork-join region could not complete normally.
@@ -221,44 +314,52 @@ struct HealthCounters {
 }
 
 struct Shared {
-    /// Job slot for the current region. Written by the coordinator
-    /// *before* opening the claim cursor and read only between a
-    /// successful claim and that claim's join mark, so the cursor's
-    /// `SeqCst` transition orders every access (see `execute_claims`).
-    job: UnsafeCell<Option<RawJob>>,
-    gate: EpochGate,
-    claim: ClaimCursor,
-    join: JoinLatch,
-    /// Team size; a claim word's tid field is 16 bits, so this is capped
-    /// at 65534 in `ThreadPool::new` (65535 is the coordinator's id).
-    threads: usize,
+    /// One slot per tid; worker `w`'s home is `slots[w]`.
+    slots: Box<[Slot]>,
+    /// Workers parked between regions.
+    idle: Parker,
+    /// The coordinator parked inside a join.
+    join: Parker,
     shutdown: AtomicBool,
-    /// Some claimed tid's job panicked during the current region.
+    /// Some tid's job panicked and `panic_detail` holds its payload: set
+    /// by the claimer that caught it; a healthy region only loads it.
     panicked: AtomicBool,
     /// Rendering of the first panic payload of the current region.
     panic_detail: Mutex<Option<String>>,
-    /// Per-worker liveness heartbeat, bumped on every wake and claim.
-    beats: Vec<CachePadded<AtomicU64>>,
-    /// Per-tid claim attribution: `(epoch, who, claimed|started)`,
-    /// written by the claimer, read by the watchdog.
-    records: Vec<CachePadded<AtomicU64>>,
 }
 
 impl Shared {
-    fn note_panic(&self, detail: String) {
-        self.panicked.store(true, Ordering::SeqCst);
-        let mut slot = lock(&self.panic_detail);
-        slot.get_or_insert(detail);
+    fn joined(&self, epoch: u64) -> bool {
+        self.slots.iter().all(|s| s.is_done(epoch))
+    }
+
+    /// Runs `job(tid)`, containing a panic.
+    ///
+    /// # Safety
+    ///
+    /// `job` must point to a live closure: the caller holds a claim on
+    /// `tid` in the region that published it, or is that region's
+    /// coordinator.
+    unsafe fn run_tid(&self, job: RawJob, tid: usize) {
+        // SAFETY: live per this function's contract.
+        let r = std::panic::catch_unwind(AssertUnwindSafe(|| unsafe { (*job)(tid) }));
+        if let Err(p) = r {
+            lock(&self.panic_detail).get_or_insert_with(|| payload_detail(p.as_ref()));
+            // Before the `finish` that lets the coordinator past the
+            // join, which then acquires this.
+            self.panicked.store(true, Ordering::Release);
+        }
+    }
+
+    /// The first panic payload since the last call, if any job panicked.
+    fn take_panic(&self) -> Option<String> {
+        if !self.panicked.load(Ordering::Acquire) {
+            return None;
+        }
+        self.panicked.store(false, Ordering::Relaxed);
+        lock(&self.panic_detail).take()
     }
 }
-
-// SAFETY: `job` is written only by the single coordinator while no
-// region is open (the cursor is exhausted and every claimed tid is
-// marked, so no thread can reach the slot) and read only under a live
-// claim; the `SeqCst` claim-open / CAS pair orders the write before
-// every read.
-unsafe impl Send for Shared {}
-unsafe impl Sync for Shared {}
 
 /// A fixed-size team of worker threads executing fork-join parallel
 /// regions, with watchdog-based recovery from dead workers.
@@ -270,8 +371,9 @@ pub struct ThreadPool {
     threads: usize,
     /// Guards against nested/concurrent `run` on the same pool.
     region_active: AtomicBool,
-    /// Set when a worker death was observed; makes the next region scan
-    /// and respawn eagerly instead of waiting for the periodic sweep.
+    /// Set when a worker death was observed; makes the region that saw
+    /// it sweep and respawn after its join instead of waiting for the
+    /// periodic sweep.
     suspect: AtomicBool,
     health: HealthCounters,
 }
@@ -280,20 +382,16 @@ impl ThreadPool {
     /// Spawns a pool with `threads` workers (the calling thread is not
     /// part of the team; it coordinates).
     pub fn new(threads: usize) -> ThreadPool {
-        // tid and claimer ids must fit their 16-bit fields, with
+        // tid and claimer ids must fit their 16-bit field, with
         // `u16::MAX` reserved for the coordinator.
         let threads = threads.clamp(1, 65_534);
         let shared = Arc::new(Shared {
-            job: UnsafeCell::new(None),
-            gate: EpochGate::new(),
-            claim: ClaimCursor::new(),
-            join: JoinLatch::new(threads),
-            threads,
+            slots: (0..threads).map(|_| Slot::new()).collect(),
+            idle: Parker::default(),
+            join: Parker::default(),
             shutdown: AtomicBool::new(false),
             panicked: AtomicBool::new(false),
             panic_detail: Mutex::new(None),
-            beats: (0..threads).map(|_| CachePadded::default()).collect(),
-            records: (0..threads).map(|_| CachePadded::default()).collect(),
         });
         let workers = (0..threads).map(|w| spawn_worker(&shared, w, 0)).collect();
         ThreadPool {
@@ -304,15 +402,6 @@ impl ThreadPool {
             suspect: AtomicBool::new(false),
             health: HealthCounters::default(),
         }
-    }
-
-    /// Spawns a pool wrapped for sharing across threads — the handle a
-    /// long-lived service hands to every worker so concurrent requests
-    /// multiplex over one team (concurrent coordinators degrade inline
-    /// per the module docs; the pool stays correct, the losers just run
-    /// their regions serially).
-    pub fn shared(threads: usize) -> Arc<ThreadPool> {
-        Arc::new(ThreadPool::new(threads))
     }
 
     /// Number of worker threads.
@@ -337,6 +426,10 @@ impl ThreadPool {
     /// inline serial execution (see the module docs). Panics (with a
     /// [`RegionError`] payload) if the region faulted; use
     /// [`ThreadPool::try_run`] to handle faults as values.
+    ///
+    /// Work: O(T) + Σ job(tid). Span: O(T) + max job(tid) — the
+    /// coordinator's T publishing stores and T join loads; O(1) in
+    /// anything the job iterates over.
     pub fn run<F>(&self, job: F)
     where
         F: Fn(usize) + Send + Sync,
@@ -374,6 +467,10 @@ impl ThreadPool {
     }
 
     /// OpenMP-style `parallel for` over `0..n` with the given schedule.
+    ///
+    /// Work: O(n + T + claims), claims = 0 (static), n / batch
+    /// (dynamic), O(T log n) (guided). Span: O(T) fork-join + the
+    /// largest per-tid share, n / T iterations under `static`.
     pub fn parallel_for<F>(&self, n: usize, sched: Schedule, body: F)
     where
         F: Fn(usize) + Send + Sync,
@@ -462,63 +559,60 @@ impl ThreadPool {
     {
         // An explicit token always wins; otherwise the coordinating
         // thread's ambient scope (installed by a host via
-        // `cancel::with_ambient_cancel`) supplies one, so cancellation
-        // reaches regions opened by code that never learned about
-        // tokens (kernel bodies calling plain `parallel_for`).
-        let ambient = if cancel.is_none() {
-            crate::cancel::ambient_cancel()
-        } else {
-            None
-        };
-        let cancel = cancel.or(ambient.as_deref());
-        // Padded so the shared cursor never false-shares with the
-        // coordinator's stack around it.
-        let cursor = CachePadded::new(AtomicUsize::new(0));
-        let threads = self.threads;
-        let deadline_hit = AtomicBool::new(false);
-        let check_deadline = || {
-            if let Some(dl) = deadline {
-                if Instant::now() >= dl {
+        // `cancel::with_ambient_cancel`) lends one for the region, so
+        // cancellation reaches regions opened by code that never learned
+        // about tokens (kernel bodies calling plain `parallel_for`).
+        with_ambient(cancel, |cancel| {
+            // Padded so the shared cursor never false-shares with the
+            // coordinator's stack around it.
+            let cursor = CachePadded::new(AtomicUsize::new(0));
+            let threads = self.threads;
+            let deadline_hit = AtomicBool::new(false);
+            let check_deadline = || {
+                if past(deadline, cancel) {
                     deadline_hit.store(true, Ordering::Relaxed);
-                    if let Some(c) = cancel {
-                        c.cancel();
-                    }
                 }
+            };
+            let report = self.region(
+                &|tid| {
+                    drive(sched, n, threads, tid, &cursor, cancel, |s, e| {
+                        check_deadline();
+                        // The loop's invariants in locals: behind the opaque
+                        // `body` call they are not hoisted out of the captures.
+                        let (cancel, timed) = (cancel, deadline.is_some());
+                        for i in s..e {
+                            if cancel.is_some_and(CancelToken::is_cancelled) {
+                                return false;
+                            }
+                            // Deadlines are polled between claimed ranges and
+                            // every 128 iterations within one, so one huge
+                            // static chunk cannot overshoot unboundedly.
+                            if timed && (i - s) % 128 == 127 {
+                                check_deadline();
+                            }
+                            body(i);
+                        }
+                        true
+                    });
+                },
+                cancel,
+                deadline,
+            )?;
+            if deadline_hit.load(Ordering::Relaxed) {
+                self.health.deadline_cancels.fetch_add(1, Ordering::Relaxed);
+                return Err(RegionError::DeadlineExceeded);
             }
-        };
-        let report = self.region(
-            &|tid| {
-                drive(sched, n, threads, tid, &cursor, cancel, |s, e| {
-                    check_deadline();
-                    for i in s..e {
-                        if cancel.is_some_and(CancelToken::is_cancelled) {
-                            return false;
-                        }
-                        // Deadlines are polled between claimed ranges and
-                        // every 128 iterations within one, so one huge
-                        // static chunk cannot overshoot unboundedly.
-                        if deadline.is_some() && (i - s) % 128 == 127 {
-                            check_deadline();
-                        }
-                        body(i);
-                    }
-                    true
-                });
-            },
-            cancel,
-            deadline,
-        )?;
-        if deadline_hit.load(Ordering::Relaxed) {
-            self.health.deadline_cancels.fetch_add(1, Ordering::Relaxed);
-            return Err(RegionError::DeadlineExceeded);
-        }
-        Ok(report)
+            Ok(report)
+        })
     }
 
     /// `parallel for` with a `+`-style reduction: each thread folds its
     /// iterations locally with `fold` into a cache-line-padded private
     /// slot (no locks anywhere), and partials are combined with
     /// `combine` in tid order after the join.
+    ///
+    /// Work: as [`ThreadPool::parallel_for`] plus T `identity` clones
+    /// and T `combine`s. Span: the same plus the O(T) serial combine.
     pub fn parallel_for_reduce<T, F, C>(
         &self,
         n: usize,
@@ -532,41 +626,50 @@ impl ThreadPool {
         F: Fn(T, usize) -> T + Send + Sync,
         C: Fn(T, T) -> T,
     {
-        let mut partials: Vec<CachePadded<Option<T>>> =
-            (0..self.threads).map(|_| CachePadded::new(None)).collect();
+        // Partials live on this frame for the team sizes the hosts run;
+        // only a wider team pays for a heap block.
+        let mut inline: [CachePadded<Option<T>>; INLINE_PARTIALS] =
+            std::array::from_fn(|_| CachePadded::new(None));
+        let mut spilled: Vec<CachePadded<Option<T>>> = Vec::new();
+        let threads = self.threads;
+        let partials = if threads <= INLINE_PARTIALS {
+            &mut inline[..threads]
+        } else {
+            spilled.resize_with(threads, || CachePadded::new(None));
+            &mut spilled[..]
+        };
         let slots = SendPtr::new(partials.as_mut_ptr());
         let cursor = CachePadded::new(AtomicUsize::new(0));
-        let threads = self.threads;
         // Reductions honour the coordinator's ambient cancel scope the
         // same way `parallel_for` does: a cancelled reduction stops
         // claiming and folds only the iterations that already ran (the
         // host discards the partial result).
-        let ambient = crate::cancel::ambient_cancel();
-        let cancel = ambient.as_deref();
-        self.run(|tid| {
-            let mut acc = Some(identity.clone());
-            drive(sched, n, threads, tid, &cursor, cancel, |s, e| {
-                for i in s..e {
-                    if cancel.is_some_and(CancelToken::is_cancelled) {
-                        return false;
+        with_ambient(None, |cancel| {
+            self.run(|tid| {
+                let mut acc = Some(identity.clone());
+                drive(sched, n, threads, tid, &cursor, cancel, |s, e| {
+                    for i in s..e {
+                        if cancel.is_some_and(CancelToken::is_cancelled) {
+                            return false;
+                        }
+                        // The accumulator is always re-seated below; if it
+                        // ever were empty, restarting from the identity is
+                        // the only sound continuation (never panic here).
+                        let cur = acc.take().unwrap_or_else(|| identity.clone());
+                        acc = Some(fold(cur, i));
                     }
-                    // The accumulator is always re-seated below; if it
-                    // ever were empty, restarting from the identity is
-                    // the only sound continuation (never panic here).
-                    let cur = acc.take().unwrap_or_else(|| identity.clone());
-                    acc = Some(fold(cur, i));
-                }
-                true
-            });
-            failpoint::hit("omprt.reduce.slot");
-            // SAFETY: slot `tid` is written by exactly one claimer (and by
-            // the inline-serial fallback strictly sequentially), and the
-            // coordinator reads only after the region's join.
-            unsafe { *slots.get().add(tid) = CachePadded::new(acc) };
+                    true
+                });
+                failpoint::hit("omprt.reduce.slot");
+                // SAFETY: slot `tid` is written by exactly one claimer (and by
+                // the inline-serial fallback strictly sequentially), and the
+                // coordinator reads only after the region's join.
+                unsafe { **slots.get().add(tid) = acc };
+            })
         });
         partials
-            .into_iter()
-            .fold(identity, |a, slot| match slot.into_inner() {
+            .iter_mut()
+            .fold(identity, |a, slot| match slot.take() {
                 Some(p) => combine(a, p),
                 None => a,
             })
@@ -574,6 +677,9 @@ impl ThreadPool {
 
     /// The region engine behind every public entry point: fork, claim
     /// participation, watchdog-interleaved join, recovery, respawn.
+    ///
+    /// Work: O(T) + Σ job(tid). Span: O(T) + max job(tid): T stores to
+    /// fork, T loads to join, one claim pass; O(1) in the job's size.
     fn region(
         &self,
         job: &(dyn Fn(usize) + Sync),
@@ -588,75 +694,57 @@ impl ThreadPool {
         let mut report = RegionReport::default();
         let _region_span = telemetry::span(Phase::Region, 0);
         self.health.regions.fetch_add(1, Ordering::Relaxed);
-        report.respawned_workers += self.ensure_workers(false);
         // Erase the borrow: the closure lives on (or below) this frame
         // and the region cannot outlive this call because we block until
-        // every tid's join slot reaches the region's epoch.
+        // every slot is `DONE` in the region's epoch.
         let raw: RawJob = unsafe {
             std::mem::transmute::<*const (dyn Fn(usize) + Sync + '_), RawJob>(
                 job as *const (dyn Fn(usize) + Sync),
             )
         };
-        self.shared.panicked.store(false, Ordering::SeqCst);
-        *lock(&self.shared.panic_detail) = None;
-        unsafe { *self.shared.job.get() = Some(raw) };
         failpoint::hit("omprt.region.fork");
         telemetry::instant(EventKind::RegionFork, Phase::Region, 0, self.threads as u64);
-        // Publish order: job slot, then the claim cursor (`SeqCst`), then
-        // the gate wake-up. Only the coordinator bumps the gate, so the
-        // next epoch is `current + 1`.
-        let epoch = self.shared.gate.current() + 1;
-        self.shared.claim.open(epoch);
-        self.shared.gate.open_next();
-        // Participate: claim and execute whatever tids no worker has
-        // taken yet, instead of blocking while workers wake up.
-        execute_claims(&self.shared, COORD, false);
-        failpoint::hit("omprt.region.join");
-        let masked = epoch & EPOCH_MASK;
-        let mut lost: Vec<usize> = Vec::new();
-        let mut stale_strikes = 0u32;
-        let mut deadline_tripped = false;
-        loop {
-            if self.shared.join.wait_all_for(masked, WATCHDOG_TICK) {
-                break;
-            }
-            if !deadline_tripped {
-                if let Some(dl) = deadline {
-                    if Instant::now() >= dl {
-                        deadline_tripped = true;
-                        if let Some(c) = cancel {
-                            c.cancel();
-                        }
-                    }
-                }
-            }
-            self.watchdog(masked, raw, &mut report, &mut lost, &mut stale_strikes);
+        let sh = &*self.shared;
+        // Between regions every slot is `DONE` in the last one's epoch.
+        let epoch = (epoch_of(sh.slots[0].load()) + 1) & EPOCH_MASK;
+        for slot in sh.slots.iter() {
+            slot.open(epoch, raw);
         }
-        // Clear the slot while the borrow is still alive (hygiene: the
-        // pointer must never dangle into a dead frame).
-        unsafe { *self.shared.job.get() = None };
+        // Dekker, publisher side: every `OPEN` store above is ordered
+        // before the load of the sleepers' flag in `wake`, against a
+        // sleeper's `SeqCst` advertise-then-recheck.
+        fence(Ordering::SeqCst);
+        sh.idle.wake(|| true);
+        // Participate: claim and execute, in tid order, whatever tids no
+        // worker has taken yet, instead of blocking while workers wake.
+        for (tid, slot) in sh.slots.iter().enumerate() {
+            let seen = slot.load();
+            if state_of(seen) == OPEN {
+                execute(sh, tid, seen, COORD);
+            }
+        }
+        failpoint::hit("omprt.region.join");
+        let mut lost: Vec<usize> = Vec::new();
+        while !sh.join.wait(Some(WATCHDOG_TICK), || sh.joined(epoch)) {
+            past(deadline, cancel);
+            self.watchdog(epoch, raw, &mut report, &mut lost);
+        }
         telemetry::instant(
             EventKind::RegionJoin,
             Phase::Region,
             0,
             u64::from(report.reclaimed_tids),
         );
-        let panicked = self.shared.panicked.load(Ordering::SeqCst);
-        let detail = lock(&self.shared.panic_detail).take();
-        report.respawned_workers += self.ensure_workers(false);
-        self.health
-            .reclaimed_tids
-            .fetch_add(u64::from(report.reclaimed_tids), Ordering::Relaxed);
+        let panic = sh.take_panic();
+        report.respawned_workers = self.ensure_workers();
         self.region_active.store(false, Ordering::Release);
         if let Some(&tid) = lost.first() {
             self.health.aborted_regions.fetch_add(1, Ordering::Relaxed);
             return Err(RegionError::WorkerLost { tid });
         }
-        if panicked {
+        if let Some(detail) = panic {
             self.health.job_panics.fetch_add(1, Ordering::Relaxed);
-            return Err(RegionError::Panicked {
-                detail: detail.unwrap_or_else(|| "unknown panic payload".into()),
-            });
+            return Err(RegionError::Panicked { detail });
         }
         Ok(report)
     }
@@ -670,40 +758,33 @@ impl ThreadPool {
     ) -> Result<RegionReport, RegionError> {
         let mut first_panic: Option<String> = None;
         for tid in 0..self.threads {
-            if let (Some(dl), Some(c)) = (deadline, cancel) {
-                if Instant::now() >= dl {
-                    c.cancel();
-                }
-            }
-            let r = std::panic::catch_unwind(AssertUnwindSafe(|| job(tid)));
-            if let Err(p) = r {
+            past(deadline, cancel);
+            if let Err(p) = std::panic::catch_unwind(AssertUnwindSafe(|| job(tid))) {
                 first_panic.get_or_insert_with(|| payload_detail(p.as_ref()));
             }
         }
-        if let Some(detail) = first_panic {
-            return Err(RegionError::Panicked { detail });
+        match first_panic {
+            Some(detail) => Err(RegionError::Panicked { detail }),
+            None => Ok(RegionReport::default()),
         }
-        Ok(RegionReport::default())
     }
 
     /// Reaps dead worker threads and respawns replacements. Cheap
     /// (per-slot `is_finished` loads under an uncontended, coordinator-
     /// only mutex), but still gated: a full sweep runs when a death was
-    /// observed (`suspect`), every 64th region, or when `force`d —
-    /// so back-to-back microscopic regions pay one flag load.
-    fn ensure_workers(&self, force: bool) -> u32 {
+    /// observed (`suspect`) or every 64th region — so back-to-back
+    /// microscopic regions pay two flag loads.
+    fn ensure_workers(&self) -> u32 {
         let periodic = self.health.regions.load(Ordering::Relaxed) % 64 == 1;
-        if !force && !periodic && !self.suspect.swap(false, Ordering::Relaxed) {
+        let suspect =
+            self.suspect.load(Ordering::Relaxed) && self.suspect.swap(false, Ordering::Relaxed);
+        if !periodic && !suspect {
             return 0;
         }
         let mut respawned = 0;
         let mut workers = lock(&self.workers);
         for (w, slot) in workers.iter_mut().enumerate() {
-            let dead = match slot {
-                Some(h) => h.is_finished(),
-                None => true,
-            };
-            if !dead {
+            if !slot.as_ref().is_none_or(JoinHandle::is_finished) {
                 continue;
             }
             if let Some(h) = slot.take() {
@@ -722,81 +803,63 @@ impl ThreadPool {
 
     /// One watchdog pass over an incomplete join: recover every tid a
     /// dead worker left behind. See the module docs for the policy.
-    fn watchdog(
-        &self,
-        masked_epoch: u64,
-        raw: RawJob,
-        report: &mut RegionReport,
-        lost: &mut Vec<usize>,
-        stale_strikes: &mut u32,
-    ) {
-        let sh = &self.shared;
+    fn watchdog(&self, epoch: u64, raw: RawJob, report: &mut RegionReport, lost: &mut Vec<usize>) {
+        let sh = &*self.shared;
         // Which workers are dead right now? (Coordinator-only lock.)
-        let dead: Vec<bool> = {
-            let workers = lock(&self.workers);
-            workers
-                .iter()
-                .map(|slot| slot.as_ref().is_none_or(JoinHandle::is_finished))
-                .collect()
-        };
-        if !dead.iter().any(|&d| d) {
+        let dead: Vec<bool> = lock(&self.workers)
+            .iter()
+            .map(|handle| handle.as_ref().is_none_or(JoinHandle::is_finished))
+            .collect();
+        let dead_count = dead.iter().filter(|&&d| d).count();
+        if dead_count == 0 {
             return;
         }
         self.suspect.store(true, Ordering::Relaxed);
-        let dead_count = dead.iter().filter(|&&d| d).count();
         telemetry::instant(EventKind::WatchdogScan, Phase::Region, 0, dead_count as u64);
-        let claimed = sh.claim.claimed(masked_epoch, sh.threads);
-        for tid in 0..sh.threads {
-            if sh.join.is_marked(tid, masked_epoch) {
-                continue;
+        for (tid, (slot, &dead)) in sh.slots.iter().zip(&dead).enumerate() {
+            // Only its home worker and the coordinator ever claim a tid,
+            // and the coordinator claimed whatever was still open before
+            // it joined: an unfinished slot is one of theirs.
+            let seen = slot.load();
+            if !dead || who_of(seen) == COORD {
+                continue; // a live worker still executing, or ours
             }
-            let rec = sh.records[tid].load(Ordering::SeqCst);
-            if !record_matches_epoch(rec, masked_epoch) {
-                // Claimed (the coordinator drains the cursor before
-                // joining, so every tid is) but never attributed: the
-                // claimer died between its CAS and its record store, or
-                // is nanoseconds away from storing. Give it a few ticks
-                // before declaring the tid lost — never reclaim it, the
-                // ambiguity means it may have started.
-                if tid < claimed {
-                    *stale_strikes += 1;
-                    if *stale_strikes >= 3 && !lost.contains(&tid) {
-                        lost.push(tid);
-                        sh.join.mark(tid, masked_epoch);
-                    }
-                }
-                continue;
-            }
-            let who = record_who(rec);
-            if who == COORD || !dead.get(who as usize).copied().unwrap_or(false) {
-                continue; // ours, or a live worker still executing
-            }
-            match record_state(rec) {
-                REC_CLAIMED => {
-                    // Dead before starting: the job has had no effect on
-                    // this tid, so the coordinator reclaims it. The job
-                    // pointer is valid — we are inside `region`'s frame.
-                    sh.records[tid]
-                        .store(record(masked_epoch, COORD, REC_STARTED), Ordering::SeqCst);
-                    let r = std::panic::catch_unwind(AssertUnwindSafe(|| unsafe { (*raw)(tid) }));
-                    if let Err(p) = r {
-                        sh.note_panic(payload_detail(p.as_ref()));
-                    }
-                    sh.join.mark(tid, masked_epoch);
+            match state_of(seen) {
+                // Dead before starting: the job has had no effect on
+                // this tid, so the coordinator reclaims it — unless the
+                // CAS finds the worker did start, which the next tick
+                // sees as `STARTED`.
+                CLAIMED if slot.reclaim(seen) => {
+                    // SAFETY: `raw` is this region's job and we are
+                    // inside `region`'s frame.
+                    unsafe { sh.run_tid(raw, tid) };
+                    slot.finish(epoch, COORD);
                     report.reclaimed_tids += 1;
+                    self.health.reclaimed_tids.fetch_add(1, Ordering::Relaxed);
                 }
-                _ => {
-                    // Started and the executor died: exactly-once is
-                    // unrecoverable. Force-complete the slot so the join
-                    // terminates, and abort the region.
-                    if !lost.contains(&tid) {
-                        lost.push(tid);
-                    }
-                    sh.join.mark(tid, masked_epoch);
+                // Started and the executor died: exactly-once is
+                // unrecoverable. Force the slot so the join terminates,
+                // and abort the region.
+                STARTED => {
+                    lost.push(tid);
+                    slot.abandon(epoch);
                 }
+                _ => {}
             }
         }
     }
+}
+
+/// Reduction partials kept on `parallel_for_reduce`'s frame.
+const INLINE_PARTIALS: usize = 8;
+
+/// Trips `cancel` once `deadline` has passed, and says whether it has.
+fn past(deadline: Option<Instant>, cancel: Option<&CancelToken>) -> bool {
+    let past = deadline.is_some_and(|dl| Instant::now() >= dl);
+    if let (true, Some(c)) = (past, cancel) {
+        c.cancel();
+    }
+    past
 }
 
 fn spawn_worker(shared: &Arc<Shared>, w: usize, generation: u32) -> Option<JoinHandle<()>> {
@@ -818,6 +881,9 @@ fn spawn_worker(shared: &Arc<Shared>, w: usize, generation: u32) -> Option<JoinH
 /// schedules go through here, so `parallel_for` and
 /// `parallel_for_reduce` have identical scheduling behaviour by
 /// construction.
+///
+/// Work: O(ranges handed to this tid), no allocation. Span: the same;
+/// `dynamic` and `guided` contend on one cursor line per claim.
 fn drive(
     sched: Schedule,
     n: usize,
@@ -879,7 +945,7 @@ fn drive(
 impl Drop for ThreadPool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.gate.open_next();
+        self.shared.idle.wake(|| true);
         let mut workers = lock(&self.workers);
         for w in workers.drain(..).flatten() {
             let _ = w.join();
@@ -908,72 +974,89 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Claims and executes tids until the current region's cursor is
-/// exhausted. Run by workers after each gate release *and* by the
-/// coordinator between fork and join.
+/// Claims tid `tid` for `who` off the `OPEN` word it saw and, if the
+/// claim holds, runs the region's job on it and reports it done: worker
+/// `tid` on its home slot, the coordinator between fork and join.
 ///
 /// A successful claim pins the region open: `region` cannot pass its
-/// join (and therefore cannot clear or rewrite the job slot) until the
-/// claimed tid's latch slot reaches the region's epoch, which happens
-/// only in the `mark` below — so the pointer read between claim and
-/// mark can never dangle or observe a torn rewrite.
-fn execute_claims(sh: &Shared, who: u16, is_worker: bool) {
-    while let Some((epoch, tid)) = sh.claim.try_claim(sh.threads) {
-        sh.records[tid].store(record(epoch, who, REC_CLAIMED), Ordering::SeqCst);
-        telemetry::instant(EventKind::ClaimBatch, Phase::Claim, 0, tid as u64);
-        if is_worker {
-            // Worker-death window (claimed, not yet started): an
-            // injected panic here escapes `worker_loop`, kills the
-            // thread, and exercises the watchdog's reclaim path.
-            failpoint::hit("omprt.worker.claim");
-        }
-        sh.records[tid].store(record(epoch, who, REC_STARTED), Ordering::SeqCst);
-        if is_worker {
-            // Worker-death window (started): an injected panic here kills
-            // the thread after the tid is attributed as running, so the
-            // watchdog cannot reclaim it — this exercises the clean-abort
-            // (`RegionError::WorkerLost`) path instead.
-            failpoint::hit("omprt.worker.job");
-        }
-        // SAFETY: claim-pinned as described above; the `SeqCst` CAS that
-        // won the claim observed the cursor open, which the coordinator
-        // stored after writing the slot.
-        let Some(job) = (unsafe { *sh.job.get() }) else {
-            // Defensive: a claimable region always carries a job. Were
-            // the slot ever empty, completing the tid (instead of
-            // unwinding) keeps the join from hanging.
-            sh.join.mark(tid, epoch);
-            continue;
-        };
-        // SAFETY: the pointee lives on the coordinator's `region` frame,
-        // which is blocked until our mark.
-        let r = std::panic::catch_unwind(AssertUnwindSafe(|| unsafe { (*job)(tid) }));
-        if let Err(p) = r {
-            sh.note_panic(payload_detail(p.as_ref()));
-        }
-        if is_worker {
-            sh.beats[who as usize].fetch_add(1, Ordering::Relaxed);
-        }
-        sh.join.mark(tid, epoch);
+/// join — return, or reopen the slot with another job — until this slot
+/// is `DONE`, which only the `finish` below makes it, so the pointer read
+/// between claim and finish can never dangle or observe a torn rewrite.
+fn execute(sh: &Shared, tid: usize, seen: u64, who: u16) -> bool {
+    let slot = &sh.slots[tid];
+    if !slot.claim(seen, who) {
+        return false;
     }
+    let epoch = epoch_of(seen);
+    let is_worker = who != COORD;
+    telemetry::instant(EventKind::ClaimBatch, Phase::Claim, 0, tid as u64);
+    if is_worker {
+        // Worker-death window (claimed, not yet started): an
+        // injected panic here escapes `worker_loop`, kills the
+        // thread, and exercises the watchdog's reclaim path.
+        failpoint::hit("omprt.worker.claim");
+    }
+    slot.start(epoch, who);
+    if is_worker {
+        // Worker-death window (started): an injected panic here kills
+        // the thread after the tid is attributed as running, so the
+        // watchdog cannot reclaim it — this exercises the clean-abort
+        // (`RegionError::WorkerLost`) path instead.
+        failpoint::hit("omprt.worker.job");
+    }
+    // SAFETY: claim-pinned as described above; the CAS that won the
+    // claim read the `OPEN` the coordinator stored after writing the
+    // cell, and the pointee lives on the coordinator's `region` frame,
+    // which is blocked until our `finish`.
+    unsafe { sh.run_tid(*slot.job.get(), tid) };
+    // Fails only when the watchdog abandoned this tid meanwhile.
+    slot.finish(epoch, who);
+    if is_worker {
+        // The `finish` CAS is the `SeqCst` publication `wake` asks for.
+        sh.join.wake(|| sh.joined(epoch));
+    }
+    true
 }
 
+/// A worker that keeps losing its tid stays away from its slot for at
+/// most `2^MAX_LOSS_BACKOFF` yields at a time: that is how late it can be
+/// for the first region long enough to want it.
+const MAX_LOSS_BACKOFF: u32 = 6;
+
 fn worker_loop(sh: Arc<Shared>, w: usize) {
-    let mut seen = 0u64;
+    let slot = &sh.slots[w];
+    // A region is news once: a worker wakes for every epoch its home
+    // slot goes through, whether or not the tid is still there to claim.
+    let mut served = epoch_of(slot.load());
+    let mut lost = 0u32;
     loop {
-        seen = sh.gate.wait_past(seen);
-        sh.beats[w].fetch_add(1, Ordering::Relaxed);
+        sh.idle.wait(None, || {
+            epoch_of(slot.load()) != served || sh.shutdown.load(Ordering::SeqCst)
+        });
         if sh.shutdown.load(Ordering::SeqCst) {
             return;
         }
+        let seen = slot.load();
+        served = epoch_of(seen);
         // Idle-death window (no claim held): an injected panic here
-        // kills the worker without stranding any tid; the periodic sweep
-        // respawns it.
+        // kills the worker without stranding any tid; the coordinator
+        // absorbs the open slot and the periodic sweep respawns.
         failpoint::hit("omprt.worker.wake");
-        // The claim may already be drained (the coordinator absorbs tids
-        // while workers wake), in which case this is a no-op and we go
-        // straight back to waiting.
-        execute_claims(&sh, w as u16, true);
+        // The slot may already be taken (the coordinator absorbs tids
+        // while workers wake). A worker that keeps losing its tid is not
+        // needed — the regions are over before it can help, or the
+        // coordinator always gets there first, as it does for tid 0 —
+        // and each look it takes at the line costs the coordinator a
+        // transfer to write it again. So it stays away for twice as many
+        // yields each time, and polls at full speed again once it wins.
+        if execute(&sh, w, seen, w as u16) {
+            lost = 0;
+        } else {
+            lost = (lost + 1).min(MAX_LOSS_BACKOFF);
+            for _ in 0..1u32 << lost {
+                std::thread::yield_now();
+            }
+        }
     }
 }
 
@@ -1170,18 +1253,195 @@ mod tests {
     }
 
     #[test]
-    fn claim_records_round_trip() {
+    fn slot_words_round_trip() {
         for (epoch, who, state) in [
-            (0u64, 0u16, REC_CLAIMED),
-            (7, 3, REC_STARTED),
-            (EPOCH_MASK, COORD, REC_STARTED),
-            ((1 << 46) - 1, 65_000, REC_CLAIMED),
+            (7u64, 3u16, STARTED),
+            (EPOCH_MASK, COORD, DONE),
+            ((1 << 46) - 1, 65_000, OPEN),
         ] {
-            let r = record(epoch, who, state);
-            assert!(record_matches_epoch(r, epoch));
-            assert_eq!(record_who(r), who);
-            assert_eq!(record_state(r), state);
+            let w = word(epoch, who, state);
+            assert_eq!(epoch_of(w), epoch);
+            assert_eq!(who_of(w), who);
+            assert_eq!(state_of(w), state);
         }
-        assert!(!record_matches_epoch(record(5, 1, REC_CLAIMED), 6));
+        assert_eq!(std::mem::align_of::<Slot>(), 64);
+        assert_eq!(std::mem::size_of::<Slot>(), 64);
+    }
+
+    /// One slot between two atomic accesses of its opener-and-stealer
+    /// (next step `coord`: open, look, claim, start, run-and-finish, join)
+    /// and its home worker (`worker`: watch, claim, start, run, finish).
+    #[derive(Clone, Default, PartialEq, Eq, Hash, Debug)]
+    struct Model {
+        word: u64,
+        coord: u8,
+        epoch: usize,
+        coord_seen: u64,
+        worker: u8,
+        worker_seen: u64,
+        served: u64,
+        /// Per epoch: times the job ran, and whether it was given up.
+        ran: [u8; 3],
+        lost: [bool; 3],
+    }
+
+    const HOME: u16 = 0;
+    const EPOCHS: usize = 2;
+    const JOIN: u8 = 5;
+    const END: u8 = 6;
+    const DEAD: u8 = 5;
+
+    fn done(w: u64, epoch: usize) -> bool {
+        epoch_of(w) == epoch as u64 && state_of(w) == DONE
+    }
+
+    /// Every state one step of either party leads to, each step applying
+    /// the real `Slot` operation to the model's word.
+    fn successors(m: &Model, slot: &Slot) -> Vec<Model> {
+        let mut out = Vec::new();
+        let mut step = |f: &dyn Fn(&mut Model)| {
+            slot.word.store(m.word, Ordering::SeqCst);
+            let mut next = m.clone();
+            f(&mut next);
+            next.word = slot.load();
+            assert!(epoch_of(next.word) >= epoch_of(m.word), "{m:?}");
+            assert!(next.ran.iter().all(|&r| r <= 1), "a tid ran twice: {m:?}");
+            out.push(next);
+        };
+        let e = m.epoch as u64;
+        match m.coord {
+            0 => step(&|n| {
+                slot.open(e, NO_JOB);
+                n.coord = 1;
+            }),
+            1 => step(&|n| {
+                n.coord_seen = slot.load();
+                n.coord = if state_of(n.coord_seen) == OPEN {
+                    2
+                } else {
+                    JOIN
+                };
+            }),
+            2 => step(&|n| {
+                n.coord = if slot.claim(n.coord_seen, COORD) {
+                    3
+                } else {
+                    JOIN
+                }
+            }),
+            3 => step(&|n| {
+                slot.start(e, COORD);
+                n.coord = 4;
+            }),
+            4 => step(&|n| {
+                n.ran[n.epoch] += 1;
+                assert!(slot.finish(e, COORD), "nobody else moves our slot: {n:?}");
+                n.coord = JOIN;
+            }),
+            JOIN => {
+                if done(m.word, m.epoch) {
+                    step(&|n| {
+                        assert!(
+                            n.ran[n.epoch] == 1 || n.lost[n.epoch],
+                            "joined unrun: {n:?}"
+                        );
+                        n.epoch += 1;
+                        n.coord = if n.epoch > EPOCHS { END } else { 0 };
+                    });
+                }
+                // The watchdog's two edges. It reclaims only from a dead
+                // worker (a live one would go on to `start`); it may give
+                // a started tid up on a live one too — a false verdict
+                // the word protocol must survive, and the only way to
+                // get a straggler.
+                if who_of(m.word) == HOME && state_of(m.word) == CLAIMED && m.worker == DEAD {
+                    step(&|n| {
+                        assert!(slot.reclaim(n.word));
+                        n.coord = 4;
+                    });
+                }
+                if who_of(m.word) == HOME && state_of(m.word) == STARTED {
+                    step(&|n| {
+                        slot.abandon(e);
+                        n.lost[n.epoch] = true;
+                    });
+                }
+            }
+            _ => {}
+        }
+        let we = epoch_of(m.worker_seen);
+        match m.worker {
+            0 if epoch_of(m.word) != m.served => step(&|n| {
+                n.worker_seen = slot.load();
+                n.served = epoch_of(n.worker_seen);
+                n.worker = u8::from(state_of(n.worker_seen) == OPEN);
+            }),
+            1 => step(&|n| {
+                let stale = epoch_of(n.word) != we;
+                n.worker = if slot.claim(n.worker_seen, HOME) {
+                    2
+                } else {
+                    0
+                };
+                assert!(
+                    !(stale && n.worker == 2),
+                    "claimed into a dead region: {n:?}"
+                );
+            }),
+            2 => step(&|n| {
+                slot.start(we, HOME);
+                n.worker = 3;
+            }),
+            3 => step(&|n| {
+                n.ran[we as usize] += 1;
+                n.worker = 4;
+            }),
+            4 => step(&|n| {
+                let landed = slot.finish(we, HOME);
+                assert_eq!(landed, !n.lost[we as usize], "{n:?}");
+                n.worker = 0;
+            }),
+            _ => {}
+        }
+        // The three windows a worker can die in: claimed, started, and
+        // run but not yet reported.
+        if (2..=4).contains(&m.worker) {
+            step(&|n| n.worker = DEAD);
+        }
+        out
+    }
+
+    /// Every order of the loads, stores and CASes of an opener that also
+    /// steals, and of the slot's home worker, over two consecutive
+    /// epochs, with the worker free to die in any fault window: exactly
+    /// one claimer runs each epoch's job, a claim against a stale epoch
+    /// fails, a `DONE` of epoch e never lands on epoch e+1, and the
+    /// coordinator always gets to the end.
+    #[test]
+    fn slot_protocol_holds_under_every_interleaving() {
+        let slot = Slot::new();
+        let start = Model {
+            word: slot.load(),
+            epoch: 1,
+            ..Model::default()
+        };
+        let mut seen = std::collections::HashSet::new();
+        let mut todo = vec![start];
+        // Among what the walk must reach: an epoch given up on a worker
+        // that lives to see the next one joined cleanly.
+        let mut straggled = false;
+        while let Some(m) = todo.pop() {
+            if !seen.insert(m.clone()) {
+                continue;
+            }
+            let next = successors(&m, &slot);
+            if next.is_empty() {
+                assert_eq!(m.coord, END, "stuck before the end: {m:?}");
+                assert!(done(m.word, EPOCHS), "{m:?}");
+                straggled |= m.lost[1] && !m.lost[2] && m.worker == 0;
+            }
+            todo.extend(next);
+        }
+        assert!(straggled);
     }
 }

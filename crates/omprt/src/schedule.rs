@@ -79,35 +79,32 @@ pub fn guided_claim(remaining: usize, threads: usize, min_chunk: usize) -> usize
 }
 
 /// The contiguous chunks thread `tid` of `threads` executes under a static
-/// schedule of `n` iterations. Returns `(start, end)` half-open ranges.
+/// schedule of `n` iterations, as `(start, end)` half-open ranges.
+/// Allocates nothing: a region walks them in place.
 pub fn static_chunks(
     n: usize,
     threads: usize,
     chunk: Option<usize>,
     tid: usize,
-) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    match chunk {
+) -> impl Iterator<Item = (usize, usize)> {
+    let (start, len, stride) = match chunk {
         None => {
             // Blocked: ceil-partition, first `rem` threads get one extra.
+            // One chunk, so the stride only has to step past `n`.
             let base = n / threads;
             let rem = n % threads;
-            let mine = base + usize::from(tid < rem);
-            let start = tid * base + tid.min(rem);
-            if mine > 0 {
-                out.push((start, start + mine));
-            }
+            (tid * base + tid.min(rem), base + usize::from(tid < rem), n)
         }
         Some(c) => {
             let c = c.max(1);
-            let mut start = tid * c;
-            while start < n {
-                out.push((start, (start + c).min(n)));
-                start += threads * c;
-            }
+            (tid * c, c, threads * c)
         }
-    }
-    out
+    };
+    // A thread with no share starts at or past `n` (blocked: `len` is 0
+    // only when `tid >= rem` and `base == 0`, which puts `start` at `n`).
+    (start..n)
+        .step_by(stride.max(1))
+        .map(move |s| (s, (s + len).min(n)))
 }
 
 #[cfg(test)]
@@ -152,12 +149,10 @@ mod tests {
 
     #[test]
     fn blocked_is_contiguous_and_ordered() {
-        let a = static_chunks(10, 3, None, 0);
-        let b = static_chunks(10, 3, None, 1);
-        let c = static_chunks(10, 3, None, 2);
-        assert_eq!(a, vec![(0, 4)]);
-        assert_eq!(b, vec![(4, 7)]);
-        assert_eq!(c, vec![(7, 10)]);
+        let chunks = |tid| static_chunks(10, 3, None, tid).collect::<Vec<_>>();
+        assert_eq!(chunks(0), vec![(0, 4)]);
+        assert_eq!(chunks(1), vec![(4, 7)]);
+        assert_eq!(chunks(2), vec![(7, 10)]);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 # CI gate, in two tiers. Everything runs offline — the workspace has
 # zero external dependencies.
 #
-#   ./ci.sh quick   fmt, clippy, debug build, unit tests, the benchmark
-#                   package's own tests, corpus replay
+#   ./ci.sh quick   fmt, clippy, rustdoc, debug build, unit tests, the
+#                   benchmark package's own tests, corpus replay
 #                   (the edit-compile loop: fast, no release artifacts)
 #   ./ci.sh full    everything in quick, plus the release build, chaos
 #                   sweep, differential fuzz, the AST round-trip
@@ -104,6 +104,11 @@ run_step quick "cargo clippy (deny warnings)" \
 run_step quick "cargo clippy (no unwrap in omprt/rtcheck/cfront/core hot paths)" \
   cargo clippy -q -p subsub-omprt -p subsub-rtcheck -p subsub-cfront -p subsub-core -- \
   -D warnings -D clippy::unwrap_used
+
+# Docs link to the names they describe: a deleted or renamed item must
+# not leave a dangling intra-doc link behind.
+run_step quick "cargo doc (deny warnings)" \
+  env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 run_step quick "debug build" cargo build --workspace
 

@@ -4,21 +4,15 @@
 
 use subsub_core::{analyze_program, AlgorithmLevel, ProgramReport};
 use subsub_kernels::{Kernel, Variant};
+use subsub_service::Plan;
 
 /// Runs the analysis at `level` and maps the decision for the kernel's
 /// compute nest (the last top-level nest — fills precede it under the
 /// paper's inline-expansion methodology) to a [`Variant`].
 pub fn variant_for(kernel: &dyn Kernel, level: AlgorithmLevel) -> Variant {
-    let report = analyze_program(kernel.source(), level)
-        .unwrap_or_else(|e| panic!("{}: {e}", kernel.name()));
-    let f = report
-        .function(kernel.func_name())
-        .unwrap_or_else(|| panic!("{}: function missing", kernel.name()));
-    match f.last_nest_parallel() {
-        None => Variant::Serial,
-        Some(l) if l.depth == 0 => Variant::OuterParallel,
-        Some(_) => Variant::InnerParallel,
-    }
+    Plan::new(kernel, level)
+        .unwrap_or_else(|e| panic!("{}: {e}", kernel.name()))
+        .variant
 }
 
 /// The full analysis report (for the `analyze` binary and examples).

@@ -1,5 +1,5 @@
 //! Guarded execution of a kernel: bridges the analysis decision (variant
-//! + runtime check) to the `rtcheck` [`GuardedExecutor`].
+//! + runtime check) to the `rtcheck` [`subsub_rtcheck::GuardedExecutor`].
 //!
 //! Construction runs the real compile-time pipeline once and compiles the
 //! plan's check; each [`GuardedHarness::run`] then evaluates the check
@@ -7,23 +7,24 @@
 //! its index arrays, and executes the admitted variant. Repeated runs on
 //! an unchanged instance are revalidated from the inspector cache in O(1).
 //!
-//! Execution is fault-tolerant end to end: the two-phase
-//! `decide_recoverable` / `execute_admitted` protocol re-checks index
-//! array versions at dispatch (tamper gate), catches a panicking or
+//! Both halves are the shared plan-and-dispatch path
+//! ([`subsub_service::Plan`]): the harness only says where an index
+//! array's verdict comes from — the executor's own memo, over the
+//! caller's instance. Execution is fault-tolerant end to end: the
+//! two-phase `decide_recoverable` / `execute_admitted` protocol re-checks
+//! index array versions at dispatch (tamper gate), catches a panicking or
 //! worker-losing parallel variant, resets the kernel instance, retries
 //! once, and finishes on the serial golden path when the parallel one
 //! cannot be trusted — reporting the classified [`ExecError`] instead of
 //! aborting. Repeatedly faulting kernels are pinned to serial by the
 //! executor's circuit breaker.
 
-use crate::decide::{decision_report, variant_for};
-use std::cell::RefCell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use subsub_core::{AlgorithmLevel, CheckExpr};
-use subsub_failpoint as failpoint;
 use subsub_kernels::{Kernel, KernelInstance, Variant};
-use subsub_omprt::{RegionError, Schedule, ThreadPool};
-use subsub_rtcheck::{BreakerState, ExecError, GuardPath, GuardStats, GuardedExecutor};
+use subsub_omprt::{CancelToken, Schedule, ThreadPool};
+use subsub_rtcheck::{BreakerState, ExecError, GuardPath, GuardStats};
+use subsub_service::Plan;
 
 /// What one guarded invocation did.
 #[derive(Debug, Clone)]
@@ -45,51 +46,35 @@ pub struct GuardedOutcome {
 
 /// A kernel's analysis decision bound to a guarded executor.
 pub struct GuardedHarness {
-    name: String,
-    variant: Variant,
-    check: Option<CheckExpr>,
-    executor: GuardedExecutor,
+    plan: Plan,
 }
 
 impl GuardedHarness {
     /// Runs the analysis at `level` and compiles the resulting runtime
     /// check (if any) for the kernel's compute nest.
     pub fn new(kernel: &dyn Kernel, level: AlgorithmLevel) -> GuardedHarness {
-        let variant = variant_for(kernel, level);
-        let report = decision_report(kernel, level);
-        let check = report
-            .function(kernel.func_name())
-            .and_then(|f| f.last_nest_parallel())
-            .and_then(|l| l.decision.plan())
-            .and_then(|p| p.runtime_check.clone());
-        let executor = GuardedExecutor::new(check.as_ref())
-            .unwrap_or_else(|e| panic!("{}: check not executable: {e}", kernel.name()));
-        GuardedHarness {
-            name: kernel.name().to_string(),
-            variant,
-            check,
-            executor,
-        }
+        let plan = Plan::new(kernel, level).unwrap_or_else(|e| panic!("{}: {e}", kernel.name()));
+        GuardedHarness { plan }
     }
 
     /// The compile-time decision.
     pub fn variant(&self) -> Variant {
-        self.variant
+        self.plan.variant
     }
 
     /// The structured check guarding the decision, if any.
     pub fn check(&self) -> Option<&CheckExpr> {
-        self.check.as_ref()
+        self.plan.check.as_ref()
     }
 
     /// Decision counters accumulated across runs.
     pub fn stats(&self) -> GuardStats {
-        self.executor.stats()
+        self.plan.executor.stats()
     }
 
     /// This kernel's circuit-breaker position.
     pub fn breaker_state(&self) -> BreakerState {
-        self.executor.breaker_state(&self.name)
+        self.plan.executor.breaker_state(&self.plan.name)
     }
 
     /// Runs one invocation of the kernel under the guards, surviving
@@ -100,106 +85,45 @@ impl GuardedHarness {
         pool: &ThreadPool,
         sched: Schedule,
     ) -> GuardedOutcome {
-        let _kernel_span =
-            subsub_telemetry::span_labeled(subsub_telemetry::Phase::KernelRun, &self.name);
-        if self.variant == Variant::Serial {
-            // Nothing to guard: the analysis itself kept the loop serial.
-            inst.run_serial();
-            return GuardedOutcome {
-                variant: self.variant,
-                executed: Variant::Serial,
-                path: GuardPath::Serial,
-                reason: Some(ExecError::AnalysisSerial),
-                checksum: inst.checksum(),
-            };
-        }
-        let bindings = inst.runtime_bindings();
-        let decision = {
-            let arrays = inst.index_arrays();
-            self.executor
-                .decide_recoverable(&self.name, &bindings, &arrays, Some(pool))
-        };
-        // The closures below each need the instance mutably, but only
-        // ever one at a time; a RefCell makes that dynamic borrow safe.
-        let cell = RefCell::new(inst);
-        let versions_owned: Vec<(String, u64)> = cell
-            .borrow()
-            .index_arrays()
-            .iter()
-            .map(|v| (v.name.to_string(), v.version))
-            .collect();
-        let versions: Vec<(&str, u64)> = versions_owned
-            .iter()
-            .map(|(n, v)| (n.as_str(), *v))
-            .collect();
-        let variant = self.variant;
-        let (checksum, reason) = self.executor.execute_admitted(
-            &self.name,
-            &decision,
-            &versions,
-            || {
-                let mut inst = cell.borrow_mut();
-                let r = catch_unwind(AssertUnwindSafe(|| {
-                    failpoint::hit("bench.kernel.parallel");
-                    inst.run(variant, pool, sched);
-                }));
-                match r {
-                    Ok(()) => Ok(inst.checksum_on(Some(pool))),
-                    Err(p) => Err(classify_panic(p.as_ref())),
-                }
-            },
-            || {
-                // A faulted attempt may have half-written the outputs;
-                // reset restores the pristine dataset so the retry (or
-                // the serial rescue) starts from known-good state.
-                cell.borrow_mut().reset();
-            },
-            || {
-                let mut inst = cell.borrow_mut();
-                inst.run_serial();
-                inst.checksum()
-            },
-        );
+        let (checksum, reason) = self
+            .execute(inst, false, pool, sched, None)
+            .expect("no cancel token was given");
         let (executed, path) = match reason {
-            None => (variant, GuardPath::Parallel),
+            None => (self.plan.variant, GuardPath::Parallel),
             Some(_) => (Variant::Serial, GuardPath::Serial),
         };
         GuardedOutcome {
-            variant,
+            variant: self.plan.variant,
             executed,
             path,
             reason,
             checksum,
         }
     }
-}
 
-/// Maps a caught panic payload from a parallel kernel run onto the
-/// [`ExecError`] taxonomy.
-fn classify_panic(p: &(dyn std::any::Any + Send)) -> ExecError {
-    if let Some(e) = p.downcast_ref::<RegionError>() {
-        return match e {
-            RegionError::DeadlineExceeded => ExecError::Timeout,
-            other => ExecError::ParallelFault {
-                detail: other.to_string(),
+    /// The harness front of [`Plan::execute`]: verdicts come from the
+    /// executor's own memo, over the caller's instance.
+    pub(crate) fn execute(
+        &self,
+        inst: &mut dyn KernelInstance,
+        serialized: bool,
+        pool: &ThreadPool,
+        sched: Schedule,
+        cancel: Option<&Arc<CancelToken>>,
+    ) -> Result<(f64, Option<ExecError>), ExecError> {
+        let plan = &self.plan;
+        plan.execute(
+            inst,
+            serialized,
+            |bindings, arrays| {
+                plan.executor
+                    .decide_recoverable(&plan.name, bindings, arrays, Some(pool))
             },
-        };
-    }
-    if let Some(inj) = p.downcast_ref::<failpoint::InjectedPanic>() {
-        return ExecError::ParallelFault {
-            detail: inj.to_string(),
-        };
-    }
-    if let Some(s) = p.downcast_ref::<&str>() {
-        return ExecError::ParallelFault {
-            detail: (*s).to_string(),
-        };
-    }
-    if let Some(s) = p.downcast_ref::<String>() {
-        return ExecError::ParallelFault { detail: s.clone() };
-    }
-    ExecError::ParallelFault {
-        detail: "non-string panic payload".into(),
+            pool,
+            sched,
+            cancel,
+            "bench.kernel.parallel",
+        )
     }
 }
 

@@ -4,8 +4,8 @@
 //! Methodology. For each benchmark and algorithm level the pipeline is:
 //!
 //! 1. run the real compile-time analysis on the kernel's C source and map
-//!    the decision to an execution [`Variant`] (serial / inner-parallel /
-//!    outer-parallel);
+//!    the decision to an execution [`subsub_kernels::Variant`] (serial /
+//!    inner-parallel / outer-parallel);
 //! 2. execute the selected variant through the `omprt` runtime on the
 //!    available cores and validate checksums against the serial run;
 //! 3. time the serial run to *calibrate* the abstract work model, measure
@@ -22,6 +22,8 @@ pub mod decide;
 pub mod guarded;
 pub mod harness;
 pub mod microbench;
+#[cfg(test)]
+mod parity;
 pub mod perfgate;
 pub mod reinspect;
 pub mod serve;

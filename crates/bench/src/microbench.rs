@@ -12,7 +12,7 @@ const SAMPLES: usize = 7;
 
 /// Summary statistics for one benchmark, in nanoseconds per iteration.
 ///
-/// Returned by [`bench`] so callers can act on measurements (emit JSON,
+/// Returned by [`bench()`] so callers can act on measurements (emit JSON,
 /// compare variants, gate CI) instead of scraping stdout.
 #[derive(Debug, Clone)]
 pub struct BenchStats {
@@ -35,7 +35,7 @@ pub struct BenchStats {
 
 impl BenchStats {
     /// Records the bytes one iteration moves and prints the rate beside
-    /// the latency [`bench`] printed.
+    /// the latency [`bench()`] printed.
     pub fn moving(mut self, bytes: usize) -> BenchStats {
         self.bytes = Some(bytes);
         let rate = self.bytes_per_s().unwrap_or(0) as f64 / 1e9;

@@ -128,7 +128,7 @@ pub fn run_suite() -> Vec<BenchStats> {
     }));
 
     // The tamper gate: fingerprint + domain recomputed from raw data,
-    // once per paranoid lookup and per `decide_ingested`.
+    // once per shard-cache lookup and per `decide_ingested`.
     let verified = ValidatedIndexArray::ingest(
         "perfgate-verify",
         ramp.clone(),

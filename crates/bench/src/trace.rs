@@ -115,12 +115,12 @@ fn synthetic_pooled_inspection(pool: &ThreadPool) {
         Ok(e) => e,
         Err(_) => return, // unreachable: no check to compile
     };
-    let decision =
-        executor.decide_recoverable("synthetic-ramp", &Bindings::new(), &[view], Some(pool));
-    let (_, _) = executor.execute_admitted(
-        "synthetic-ramp",
+    let decision = executor.decide_recoverable(view.name, &Bindings::new(), &[view], Some(pool));
+    let _ = executor.execute_admitted(
+        view.name,
         &decision,
-        &[("synthetic-ramp", 0)],
+        &[view.version],
+        None,
         || Ok(()),
         || {},
         || (),

@@ -2,9 +2,9 @@
 //! monotonicity of subscript arrays, plus the dependence tests and the
 //! parallelization driver that consume the properties.
 //!
-//! * [`phase1`] — symbolic execution of one arbitrary loop iteration
+//! * [`mod@phase1`] — symbolic execution of one arbitrary loop iteration
 //!   over the loop-body CFG (Section 2.3).
-//! * [`phase2`] — aggregation over the iteration space: SSR/SRA (the base
+//! * [`mod@phase2`] — aggregation over the iteration space: SSR/SRA (the base
 //!   algorithm of Bhosale & Eigenmann, ICS'21), intermittent monotonicity
 //!   (LEMMA 1) and multi-dimensional range monotonicity (LEMMA 2)
 //!   (Sections 2.4–2.5).

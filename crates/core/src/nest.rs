@@ -7,7 +7,7 @@
 //! values variables hold *before* the loop (e.g. `Λ_irownnz = 0` in the
 //! AMGmk example). This module owns that program-order walk: it keeps a
 //! symbolic top-level state, analyzes each eligible nest with
-//! [`crate::phase1`]/[`crate::phase2`], substitutes loop-entry values into
+//! [`crate::phase1()`]/[`crate::phase2()`], substitutes loop-entry values into
 //! the proven properties, and accumulates the [`PropertyDb`].
 
 use crate::collapse::CollapsedMap;

@@ -222,7 +222,7 @@ fn block_sum(block: &[f64]) -> f64 {
     groups.remainder().iter().fold(lanes[0], |sum, x| sum + x)
 }
 
-/// The fixed-shape sum every result digest is built from: [`block_sum`]
+/// The fixed-shape sum every result digest is built from: `block_sum`
 /// over blocks of [`BLOCK`] elements, the partials added in block order.
 /// The value is defined by that arithmetic — not by the instructions the
 /// compiler picks or by how many threads computed the partials — and is

@@ -36,6 +36,7 @@ pub mod cg;
 pub mod cholmod;
 pub mod common;
 pub mod csrocsr;
+pub mod dispatch;
 pub mod fdtd2d;
 pub mod gprefix;
 pub mod gramschmidt;
@@ -50,4 +51,5 @@ pub mod syrk;
 pub mod ua;
 
 pub use common::{InnerGroup, Kernel, KernelInstance, Variant};
+pub use dispatch::{dispatch, run_serial_on};
 pub use registry::{all_kernels, kernel_by_name};

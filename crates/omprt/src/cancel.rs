@@ -17,7 +17,7 @@ use std::sync::Arc;
 ///
 /// Inside an `Arc` the flag shares a cache line with the reference
 /// counts, and every thread of a region polls it per iteration: whoever
-/// runs regions under a token borrows it ([`with_ambient`]) instead of
+/// runs regions under a token borrows it (`with_ambient`) instead of
 /// cloning the handle per region.
 #[derive(Debug, Default)]
 pub struct CancelToken {

@@ -3,7 +3,7 @@
 //!
 //! Workers are spawned once and a region is one epoch. The whole
 //! fork-join protocol is **one word per tid**: a cache-line-padded
-//! [`Slot`] holding `(epoch << 18) | (who << 2) | state` next to the
+//! `Slot` holding `(epoch << 18) | (who << 2) | state` next to the
 //! region's erased job pointer, and moving
 //!
 //! ```text

@@ -35,7 +35,7 @@ impl<T> SendPtr<T> {
     ///
     /// # Safety
     ///
-    /// Same contract as [`pointer::add`]: the offset pointer must stay
+    /// Same contract as `pointer::add`: the offset pointer must stay
     /// inside (or one past) the allocation the base points into.
     pub unsafe fn add(&self, count: usize) -> SendPtr<T> {
         SendPtr(self.0.add(count))

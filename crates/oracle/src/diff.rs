@@ -26,7 +26,7 @@ use crate::gen::{brute_force_block_monotone, brute_force_monotone, GeneratedArra
 use crate::refeval::{compare, ref_eval, PredicateAgreement, RefEvalError};
 use std::fmt;
 use subsub_kernels::common::close;
-use subsub_kernels::Kernel;
+use subsub_kernels::{dispatch, Kernel, Variant};
 use subsub_omprt::{Schedule, ThreadPool};
 use subsub_rtcheck::{
     composed_verdict, inspect_block_monotone, inspect_monotone, inspect_serial, Bindings,
@@ -597,29 +597,18 @@ pub fn check_kernel(kernel: &dyn Kernel, seed: u64) -> Vec<Divergence> {
         let arrays = inst.index_arrays();
         executor.decide_recoverable(name, &bindings, &arrays, Some(&pool))
     };
-    let versions: Vec<(String, u64)> = inst
-        .index_arrays()
-        .iter()
-        .map(|v| (v.name.to_string(), v.version))
-        .collect();
-    let versions_ref: Vec<(&str, u64)> = versions.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-    let cell = std::cell::RefCell::new(inst.as_mut());
-    let (checksum, _reason) = executor.execute_admitted(
+    let (checksum, _reason) = dispatch(
+        &executor,
         name,
+        Variant::OuterParallel,
+        inst.as_mut(),
         &decision,
-        &versions_ref,
-        || {
-            let mut i = cell.borrow_mut();
-            i.run_outer(&pool, sched);
-            Ok(i.checksum())
-        },
-        || cell.borrow_mut().reset(),
-        || {
-            let mut i = cell.borrow_mut();
-            i.run_serial();
-            i.checksum()
-        },
-    );
+        &pool,
+        sched,
+        None,
+        "oracle.kernel.parallel",
+    )
+    .expect("no cancel token was given");
     if !close(checksum, golden) {
         out.push(Divergence::KernelChecksumMismatch {
             kernel: name.to_string(),

@@ -71,6 +71,11 @@ pub enum ExecError {
         /// Breaker-admission denials left before a half-open trial.
         remaining: u32,
     },
+    /// The caller is running serial-only and never consulted the guard:
+    /// the service's `Serialized` cooldown after an observed fault, or a
+    /// quarantine probe. Says nothing about the kernel or its data — the
+    /// same request may run parallel once the caller has recovered.
+    Serialized,
     /// The invocation's cancel token tripped (the caller's deadline
     /// expired or the waiter abandoned the request) before a result was
     /// produced; whatever partial work ran was discarded. Unlike
@@ -86,7 +91,8 @@ impl ExecError {
     /// panic) are transient — the self-healing pool respawns workers, so
     /// an immediate second attempt can succeed. Everything rooted in the
     /// *data* (failed check, non-monotone array, tampered version) or in
-    /// policy (open breaker, spent deadline) is not retryable.
+    /// policy (open breaker, spent deadline, a serialized caller) is not
+    /// retryable.
     pub fn transient(&self) -> bool {
         matches!(self, ExecError::ParallelFault { .. })
     }
@@ -106,6 +112,7 @@ impl ExecError {
             ExecError::Timeout => 8,
             ExecError::BreakerOpen { .. } => 9,
             ExecError::Cancelled => 10,
+            ExecError::Serialized => 11,
         }
     }
 }
@@ -153,6 +160,9 @@ impl std::fmt::Display for ExecError {
             ExecError::Cancelled => {
                 write!(f, "invocation cancelled before a result was produced")
             }
+            ExecError::Serialized => {
+                write!(f, "caller is degraded and running serial-only")
+            }
         }
     }
 }
@@ -186,6 +196,7 @@ mod tests {
             ExecError::Timeout,
             ExecError::BreakerOpen { remaining: 5 },
             ExecError::Cancelled,
+            ExecError::Serialized,
         ] {
             assert!(!e.transient(), "{e}");
         }

@@ -5,7 +5,12 @@
 //! A [`GuardedExecutor`] bundles the compiled scalar check emitted by the
 //! dependence test with the inspector cache and a per-kernel
 //! [`CircuitBreaker`]. Per invocation it walks a fixed degradation
-//! ladder:
+//! ladder, in two phases: a decision (rungs 1–3; one walk behind
+//! [`GuardedExecutor::decide_recoverable`],
+//! [`GuardedExecutor::decide_ingested`] and
+//! [`GuardedExecutor::decide_with`], which differ only in where an
+//! array's verdict comes from) and its execution (rungs 4–5,
+//! [`GuardedExecutor::execute_admitted`]):
 //!
 //! 1. **breaker** — a kernel with too many recent parallel-path faults
 //!    is pinned to serial for a cooldown ([`ExecError::BreakerOpen`]);
@@ -37,7 +42,6 @@ use crate::expr::CheckExpr;
 use crate::inspect::{IndexArrayView, MonotoneReq, MonotoneVerdict};
 use crate::validate::ValidatedIndexArray;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use subsub_failpoint::{self as failpoint, Action};
 use subsub_omprt::{CancelToken, ThreadPool};
 use subsub_telemetry as telemetry;
@@ -92,17 +96,37 @@ impl GuardVerdict {
     }
 }
 
-/// A phase-1 decision ([`GuardedExecutor::decide_recoverable`]) carrying
-/// what phase 2 ([`GuardedExecutor::execute_admitted`]) needs: the
-/// verdict plus the write-versions the inspection evidence was based on,
-/// for the dispatch-time tamper gate.
+/// A phase-1 decision carrying what phase 2
+/// ([`GuardedExecutor::execute_admitted`]) needs: the verdict plus the
+/// write-versions the inspection evidence was based on, for the
+/// dispatch-time tamper gate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Decision {
     /// The guard verdict (no path counters recorded yet — phase 2 counts
     /// what actually ran).
     pub verdict: GuardVerdict,
-    /// `(array name, version)` for every inspected index array.
+    /// `(array name, version)` for every inspected index array, in the
+    /// order the arrays were given.
     pub inspected: Vec<(String, u64)>,
+}
+
+impl Decision {
+    /// A serial decision taken off the ladder, by a caller that knows no
+    /// runtime evidence can change it: the analysis kept the loop serial
+    /// ([`ExecError::AnalysisSerial`]), or the service is running
+    /// serial-only ([`ExecError::Serialized`]). No rung is consulted — in
+    /// particular the breaker's cooldown does not tick — and the verdict
+    /// is recorded like any other; [`GuardedExecutor::execute_admitted`]
+    /// then runs, counts and cancel-checks it as it does every serial
+    /// decision.
+    pub fn serial(kernel: &str, reason: ExecError) -> Decision {
+        let verdict = GuardVerdict::serial(reason);
+        record_verdict(kernel, &verdict);
+        Decision {
+            verdict,
+            inspected: Vec::new(),
+        }
+    }
 }
 
 /// Cumulative decision counters for one executor.
@@ -145,7 +169,7 @@ pub struct GuardStats {
 #[derive(Debug)]
 pub struct GuardedExecutor {
     check: Option<CompiledCheck>,
-    cache: Arc<InspectorCache>,
+    cache: InspectorCache,
     breaker: CircuitBreaker,
     parallel_runs: AtomicU64,
     serial_fallbacks: AtomicU64,
@@ -169,7 +193,7 @@ impl GuardedExecutor {
         let compiled = check.map(CompiledCheck::compile).transpose()?;
         Ok(GuardedExecutor {
             check: compiled,
-            cache: Arc::new(InspectorCache::new()),
+            cache: InspectorCache::new(),
             breaker: CircuitBreaker::default(),
             parallel_runs: AtomicU64::new(0),
             serial_fallbacks: AtomicU64::new(0),
@@ -186,17 +210,6 @@ impl GuardedExecutor {
         })
     }
 
-    /// Builds an executor sharing an existing inspector cache (several
-    /// kernels inspecting the same structure can pool their verdicts).
-    pub fn with_cache(
-        check: Option<&CheckExpr>,
-        cache: Arc<InspectorCache>,
-    ) -> Result<GuardedExecutor, CompileError> {
-        let mut e = GuardedExecutor::new(check)?;
-        e.cache = cache;
-        Ok(e)
-    }
-
     /// Replaces the default circuit breaker (threshold 3, cooldown 8)
     /// with a custom-tuned one.
     pub fn with_breaker(mut self, breaker: CircuitBreaker) -> GuardedExecutor {
@@ -204,43 +217,15 @@ impl GuardedExecutor {
         self
     }
 
-    /// The shared inspector cache.
-    pub fn cache(&self) -> &Arc<InspectorCache> {
-        &self.cache
-    }
-
     /// The per-kernel circuit breaker position (for harness assertions).
     pub fn breaker_state(&self, kernel: &str) -> BreakerState {
         self.breaker.state(kernel)
     }
 
-    /// Evaluates every guard and records the decision, without running
-    /// anything. The original one-phase entry point: no breaker, no
-    /// tamper gate — use [`GuardedExecutor::decide_recoverable`] +
-    /// [`GuardedExecutor::execute_admitted`] for the fault-tolerant path.
-    pub fn decide(
-        &self,
-        bindings: &Bindings,
-        arrays: &[IndexArrayView<'_>],
-        pool: Option<&ThreadPool>,
-    ) -> GuardVerdict {
-        let _decide_span = telemetry::span(Phase::GuardDecide, 0);
-        let (verdict, _) = self.evaluate(bindings, arrays, pool);
-        record_verdict("", &verdict);
-        match verdict.path {
-            GuardPath::Parallel => {
-                self.parallel_runs.fetch_add(1, Ordering::Relaxed);
-            }
-            GuardPath::Serial => {
-                self.serial_fallbacks.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        verdict
-    }
-
-    /// Phase 1 of fault-tolerant guarded execution: breaker admission,
-    /// then every guard. Path counters are *not* recorded here — phase 2
-    /// records what actually ran, which can differ (tamper, faults).
+    /// Phase 1 over raw [`IndexArrayView`]s: each array's verdict comes
+    /// from the executor's own memo ([`InspectorCache`]) — a *faulted*
+    /// scan is retried once and then rescued by the infallible serial
+    /// scan, so only a genuine verdict ever denies.
     pub fn decide_recoverable(
         &self,
         kernel: &str,
@@ -248,19 +233,31 @@ impl GuardedExecutor {
         arrays: &[IndexArrayView<'_>],
         pool: Option<&ThreadPool>,
     ) -> Decision {
-        let _decide_span = telemetry::span_labeled(Phase::GuardDecide, kernel);
-        if let Err(remaining) = self.breaker.admit(kernel) {
-            self.breaker_short_circuits.fetch_add(1, Ordering::Relaxed);
-            let verdict = GuardVerdict::serial(ExecError::BreakerOpen { remaining });
-            record_verdict(kernel, &verdict);
-            return Decision {
-                verdict,
-                inspected: Vec::new(),
-            };
-        }
-        let (verdict, inspected) = self.evaluate(bindings, arrays, pool);
-        record_verdict(kernel, &verdict);
-        Decision { verdict, inspected }
+        self.decide_with(kernel, bindings, arrays, |i| {
+            Ok(self.inspect_with_retry(&arrays[i], pool))
+        })
+    }
+
+    /// Phase 1 with the caller's own verdict source: `verdict_of(i)`
+    /// answers for `arrays[i]` (the service passes its sharded,
+    /// content-addressed cache and keeps the lookup classification), and
+    /// an `Err` — the source rejected its evidence — denies with that
+    /// reason. Breaker admission and the scalar check come first, so a
+    /// denied invocation never consults the source.
+    pub fn decide_with(
+        &self,
+        kernel: &str,
+        bindings: &Bindings,
+        arrays: &[IndexArrayView<'_>],
+        verdict_of: impl FnMut(usize) -> Result<MonotoneVerdict, ExecError>,
+    ) -> Decision {
+        self.walk(
+            kernel,
+            bindings,
+            arrays.iter().copied(),
+            || Ok(()),
+            verdict_of,
+        )
     }
 
     /// Phase 1 over *ingested* index arrays: the trust-boundary form of
@@ -286,107 +283,120 @@ impl GuardedExecutor {
         arrays: &[(&ValidatedIndexArray, MonotoneReq)],
         _pool: Option<&ThreadPool>,
     ) -> Decision {
+        self.walk(
+            kernel,
+            bindings,
+            arrays.iter().map(|(array, required)| array.view(*required)),
+            || {
+                arrays
+                    .iter()
+                    .try_for_each(|(array, _)| array.verify())
+                    .map_err(ExecError::from)
+            },
+            |i| Ok(self.cache.verdict_ingested(arrays[i].0)),
+        )
+    }
+
+    /// The one ladder walk behind every `decide_*` front: breaker
+    /// admission, then `verify` (the ingestion boundary's
+    /// re-verification, before any evidence is consulted), the scalar
+    /// check, and each array's verdict — from `verdict_of`, the only
+    /// thing the fronts differ in — held against what the array is
+    /// required to be. The first rung that denies ends the walk, and its
+    /// reason is counted once, here. Path counters are *not* recorded —
+    /// phase 2 records what actually ran, which can differ (tamper,
+    /// faults).
+    fn walk<'a>(
+        &self,
+        kernel: &str,
+        bindings: &Bindings,
+        arrays: impl ExactSizeIterator<Item = IndexArrayView<'a>>,
+        verify: impl FnOnce() -> Result<(), ExecError>,
+        verdict_of: impl FnMut(usize) -> Result<MonotoneVerdict, ExecError>,
+    ) -> Decision {
         let _decide_span = telemetry::span_labeled(Phase::GuardDecide, kernel);
-        if let Err(remaining) = self.breaker.admit(kernel) {
-            self.breaker_short_circuits.fetch_add(1, Ordering::Relaxed);
-            let verdict = GuardVerdict::serial(ExecError::BreakerOpen { remaining });
-            record_verdict(kernel, &verdict);
-            return Decision {
-                verdict,
-                inspected: Vec::new(),
-            };
-        }
-        for (array, _) in arrays {
-            if let Err(e) = array.verify() {
-                self.validation_rejections.fetch_add(1, Ordering::Relaxed);
-                let verdict = GuardVerdict::serial(e.into());
-                record_verdict(kernel, &verdict);
-                return Decision {
-                    verdict,
-                    inspected: Vec::new(),
+        let mut inspected = Vec::new();
+        let verdict = match self.climb(kernel, bindings, arrays, verify, verdict_of, &mut inspected)
+        {
+            Ok(()) => GuardVerdict::parallel(),
+            Err(reason) => {
+                let counter = match reason {
+                    ExecError::BreakerOpen { .. } => &self.breaker_short_circuits,
+                    ExecError::InvalidIndexArray { .. } => &self.validation_rejections,
+                    ExecError::CheckFailed { .. } | ExecError::CheckUnevaluable { .. } => {
+                        &self.check_failures
+                    }
+                    // `NotMonotone`, and whatever else a verdict source
+                    // rejects its evidence with.
+                    _ => &self.inspection_failures,
                 };
+                counter.fetch_add(1, Ordering::Relaxed);
+                GuardVerdict::serial(reason)
             }
-        }
-        if let Some(denied) = self.eval_check(bindings) {
-            record_verdict(kernel, &denied);
-            return Decision {
-                verdict: denied,
-                inspected: Vec::new(),
-            };
-        }
-        let mut inspected = Vec::with_capacity(arrays.len());
-        for (array, required) in arrays {
-            let verdict = self.cache.verdict_ingested(array);
-            inspected.push((array.name().to_string(), array.version()));
-            if !verdict.satisfies(*required) {
-                self.inspection_failures.fetch_add(1, Ordering::Relaxed);
-                let denied = GuardVerdict::serial(ExecError::NotMonotone {
-                    array: array.name().to_string(),
-                    required: *required,
-                    first_violation: verdict.first_violation,
-                });
-                record_verdict(kernel, &denied);
-                return Decision {
-                    verdict: denied,
-                    inspected,
-                };
-            }
-        }
-        let verdict = GuardVerdict::parallel();
+        };
         record_verdict(kernel, &verdict);
         Decision { verdict, inspected }
     }
 
+    /// The rungs of [`GuardedExecutor::walk`], first denial out.
+    /// `inspected` ends up holding every array whose verdict was
+    /// consulted, the one that denied included.
+    fn climb<'a>(
+        &self,
+        kernel: &str,
+        bindings: &Bindings,
+        arrays: impl ExactSizeIterator<Item = IndexArrayView<'a>>,
+        verify: impl FnOnce() -> Result<(), ExecError>,
+        mut verdict_of: impl FnMut(usize) -> Result<MonotoneVerdict, ExecError>,
+        inspected: &mut Vec<(String, u64)>,
+    ) -> Result<(), ExecError> {
+        self.breaker
+            .admit(kernel)
+            .map_err(|remaining| ExecError::BreakerOpen { remaining })?;
+        verify()?;
+        self.eval_check(bindings)?;
+        inspected.reserve(arrays.len());
+        for (i, view) in arrays.enumerate() {
+            let verdict = verdict_of(i)?;
+            inspected.push((view.name.to_string(), view.version));
+            if !verdict.satisfies(view.required) {
+                return Err(ExecError::NotMonotone {
+                    array: view.name.to_string(),
+                    required: view.required,
+                    first_violation: verdict.first_violation,
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// Phase 2: runs the variant phase 1 admitted, surviving parallel
     /// faults. `current_versions` re-reads each index array's
-    /// write-version at dispatch time (tamper gate); `parallel` attempts
-    /// the parallel variant, classifying its own faults; `recover`
-    /// restores kernel state after a faulted attempt (it runs before any
-    /// retry and before the serial rescue); `serial` is the infallible
-    /// last rung.
+    /// write-version at dispatch time, in the order phase 1 was given the
+    /// arrays (tamper gate); `parallel` attempts the parallel variant,
+    /// classifying its own faults; `recover` restores kernel state after
+    /// a faulted attempt (it runs before any retry and before the serial
+    /// rescue); `serial` is the last rung, infallible but for
+    /// cancellation.
+    ///
+    /// `cancel` is a cooperative token checked at every rung boundary:
+    /// before the serial-decision short-circuit, before the parallel
+    /// attempt, before any retry, and before the serial rescue. A tripped
+    /// token abandons the whole invocation with [`ExecError::Cancelled`]
+    /// — the serial rung included — so a request whose waiter is gone
+    /// stops consuming pool time at the next boundary. `recover` still
+    /// runs before the abort, leaving the kernel instance reusable.
+    /// Without a token, and with a `parallel` that never reports
+    /// `Cancelled` itself, the call does not return `Err`.
     ///
     /// Returns the output plus the classified reason the invocation did
     /// not finish parallel (`None` when it did).
+    #[allow(clippy::too_many_arguments)]
     pub fn execute_admitted<T>(
         &self,
         kernel: &str,
         decision: &Decision,
-        current_versions: &[(&str, u64)],
-        parallel: impl FnMut() -> Result<T, ExecError>,
-        recover: impl FnMut(),
-        serial: impl FnOnce() -> T,
-    ) -> (T, Option<ExecError>) {
-        match self.execute_admitted_cancellable(
-            kernel,
-            decision,
-            current_versions,
-            None,
-            parallel,
-            recover,
-            serial,
-        ) {
-            Ok(out) => out,
-            // Without a token, cancellation is unobservable; the ladder
-            // always bottoms out in the infallible serial rung.
-            Err(_) => unreachable!("uncancellable invocation reported Cancelled"),
-        }
-    }
-
-    /// [`GuardedExecutor::execute_admitted`] with a cooperative cancel
-    /// token checked at every rung boundary: before the serial-decision
-    /// short-circuit, before the parallel attempt, before any retry, and
-    /// before the serial rescue. A tripped token abandons the whole
-    /// invocation with [`ExecError::Cancelled`] — including the serial
-    /// rung, which plain `execute_admitted` treats as infallible — so a
-    /// request whose waiter is gone stops consuming pool time at the
-    /// next boundary. `recover` still runs before the abort, leaving the
-    /// kernel instance reusable.
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_admitted_cancellable<T>(
-        &self,
-        kernel: &str,
-        decision: &Decision,
-        current_versions: &[(&str, u64)],
+        current_versions: &[u64],
         cancel: Option<&CancelToken>,
         mut parallel: impl FnMut() -> Result<T, ExecError>,
         mut recover: impl FnMut(),
@@ -408,12 +418,8 @@ impl GuardedExecutor {
         // Tamper gate: the inspection evidence is only as good as the
         // versions it was computed at. Any drift since phase 1 means a
         // concurrent writer touched an index array — deny.
-        for (name, at_decision) in &decision.inspected {
-            let current = current_versions
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v);
-            if current != Some(*at_decision) {
+        for (i, (name, at_decision)) in decision.inspected.iter().enumerate() {
+            if current_versions.get(i) != Some(at_decision) {
                 self.tamper_detections.fetch_add(1, Ordering::Relaxed);
                 self.serial_fallbacks.fetch_add(1, Ordering::Relaxed);
                 let reason = ExecError::TamperDetected {
@@ -422,63 +428,56 @@ impl GuardedExecutor {
                 return Ok((serial(), Some(reason)));
             }
         }
+        // One parallel attempt. `Err` is its fault — or `Cancelled` when
+        // the token tripped under it: such a run "succeeded" only by no
+        // longer claiming iterations, and its partial output must never
+        // surface.
+        let mut attempt = || match parallel() {
+            Ok(out) if !cancelled() => {
+                self.parallel_runs.fetch_add(1, Ordering::Relaxed);
+                self.breaker.record_success(kernel);
+                Ok(out)
+            }
+            Ok(_) => Err(ExecError::Cancelled),
+            Err(fault) => Err(fault),
+        };
         // Chaos site: an Error arm models a fault detected at the
         // dispatch boundary itself (before the kernel runs).
         let mut fault = match failpoint::hit("rtcheck.guard.dispatch") {
-            Action::Error | Action::Corrupt => Some(ExecError::ParallelFault {
+            Action::Error | Action::Corrupt => ExecError::ParallelFault {
                 detail: "injected dispatch fault".into(),
-            }),
-            Action::Proceed => None,
-        };
-        if fault.is_none() {
-            if cancelled() {
-                return Err(abort());
+            },
+            Action::Proceed => {
+                if cancelled() {
+                    return Err(abort());
+                }
+                match attempt() {
+                    Ok(out) => return Ok((out, None)),
+                    Err(fault) => fault,
+                }
             }
-            match parallel() {
-                Ok(out) if !cancelled() => {
-                    self.parallel_runs.fetch_add(1, Ordering::Relaxed);
-                    self.breaker.record_success(kernel);
+        };
+        if fault == ExecError::Cancelled || cancelled() {
+            recover();
+            return Err(abort());
+        }
+        self.note_fault(kernel);
+        if fault.transient() {
+            self.retries.fetch_add(1, Ordering::Relaxed);
+            recover();
+            match attempt() {
+                Ok(out) => {
+                    self.retry_successes.fetch_add(1, Ordering::Relaxed);
                     return Ok((out, None));
                 }
-                // A cancelled run that "succeeded" only stopped claiming
-                // iterations early — the output is partial. Restore the
-                // instance and abandon; never surface partial work.
-                Ok(_) => {
+                Err(ExecError::Cancelled) => {
                     recover();
                     return Err(abort());
                 }
-                Err(e) => fault = Some(e),
-            }
-        }
-        // `fault` is always `Some` here; the loop shape keeps the
-        // borrow-checker happy without unwraps.
-        if let Some(first) = fault.take() {
-            if matches!(first, ExecError::Cancelled) || cancelled() {
-                recover();
-                return Err(abort());
-            }
-            self.note_fault(kernel);
-            if first.transient() {
-                self.retries.fetch_add(1, Ordering::Relaxed);
-                recover();
-                match parallel() {
-                    Ok(out) if !cancelled() => {
-                        self.retry_successes.fetch_add(1, Ordering::Relaxed);
-                        self.parallel_runs.fetch_add(1, Ordering::Relaxed);
-                        self.breaker.record_success(kernel);
-                        return Ok((out, None));
-                    }
-                    Ok(_) => {
-                        recover();
-                        return Err(abort());
-                    }
-                    Err(second) => {
-                        self.note_fault(kernel);
-                        fault = Some(second);
-                    }
+                Err(second) => {
+                    self.note_fault(kernel);
+                    fault = second;
                 }
-            } else {
-                fault = Some(first);
             }
         }
         // Final rung: restore state and finish serially. The serial
@@ -489,7 +488,7 @@ impl GuardedExecutor {
             return Err(abort());
         }
         self.serial_fallbacks.fetch_add(1, Ordering::Relaxed);
-        Ok((serial(), fault))
+        Ok((serial(), Some(fault)))
     }
 
     fn note_fault(&self, kernel: &str) {
@@ -499,69 +498,37 @@ impl GuardedExecutor {
         }
     }
 
-    /// Evaluates the compiled scalar check (if any); `Some(verdict)` is
-    /// a denial with the classified reason, `None` admits.
-    fn eval_check(&self, bindings: &Bindings) -> Option<GuardVerdict> {
-        let check = self.check.as_ref()?;
+    /// Evaluates the compiled scalar check (if any); `Err` is a denial
+    /// with the classified reason.
+    fn eval_check(&self, bindings: &Bindings) -> Result<(), ExecError> {
+        let Some(check) = self.check.as_ref() else {
+            return Ok(());
+        };
         // Chaos site: Corrupt flips the evaluation toward the
         // conservative answer (deny); Error makes it unevaluable.
         // Neither can ever admit a run the real check would deny.
-        let injected = match failpoint::hit("rtcheck.check.eval") {
-            Action::Corrupt => Some(Err("injected corrupt evaluation (conservative deny)")),
-            Action::Error => Some(Ok("injected evaluation fault")),
-            Action::Proceed => None,
-        };
-        if let Some(inj) = injected {
-            self.check_failures.fetch_add(1, Ordering::Relaxed);
-            let reason = match inj {
-                Err(d) => ExecError::CheckFailed { detail: d.into() },
-                Ok(d) => ExecError::CheckUnevaluable { detail: d.into() },
-            };
-            return Some(GuardVerdict::serial(reason));
+        match failpoint::hit("rtcheck.check.eval") {
+            Action::Corrupt => {
+                return Err(ExecError::CheckFailed {
+                    detail: "injected corrupt evaluation (conservative deny)".into(),
+                })
+            }
+            Action::Error => {
+                return Err(ExecError::CheckUnevaluable {
+                    detail: "injected evaluation fault".into(),
+                })
+            }
+            Action::Proceed => {}
         }
         match check.eval(bindings) {
-            Ok(true) => None,
-            Ok(false) => {
-                self.check_failures.fetch_add(1, Ordering::Relaxed);
-                Some(GuardVerdict::serial(ExecError::CheckFailed {
-                    detail: "parallelization precondition does not hold".into(),
-                }))
-            }
-            Err(e) => {
-                self.check_failures.fetch_add(1, Ordering::Relaxed);
-                Some(GuardVerdict::serial(ExecError::CheckUnevaluable {
-                    detail: e.to_string(),
-                }))
-            }
+            Ok(true) => Ok(()),
+            Ok(false) => Err(ExecError::CheckFailed {
+                detail: "parallelization precondition does not hold".into(),
+            }),
+            Err(e) => Err(ExecError::CheckUnevaluable {
+                detail: e.to_string(),
+            }),
         }
-    }
-
-    fn evaluate(
-        &self,
-        bindings: &Bindings,
-        arrays: &[IndexArrayView<'_>],
-        pool: Option<&ThreadPool>,
-    ) -> (GuardVerdict, Vec<(String, u64)>) {
-        if let Some(denied) = self.eval_check(bindings) {
-            return (denied, Vec::new());
-        }
-        let mut inspected = Vec::with_capacity(arrays.len());
-        for view in arrays {
-            let verdict = self.inspect_with_retry(view, pool);
-            inspected.push((view.name.to_string(), view.version));
-            if !verdict.satisfies(view.required) {
-                self.inspection_failures.fetch_add(1, Ordering::Relaxed);
-                return (
-                    GuardVerdict::serial(ExecError::NotMonotone {
-                        array: view.name.to_string(),
-                        required: view.required,
-                        first_violation: verdict.first_violation,
-                    }),
-                    inspected,
-                );
-            }
-        }
-        (GuardVerdict::parallel(), inspected)
     }
 
     /// The inspection rung of the ladder: cached parallel scan, one
@@ -592,26 +559,6 @@ impl GuardedExecutor {
         }
     }
 
-    /// Decides, then runs the admitted variant. Both closures receive
-    /// nothing and return the kernel's output value; the caller keeps
-    /// ownership of all state. (One-phase form without fault recovery;
-    /// see [`GuardedExecutor::execute_admitted`].)
-    pub fn run<T>(
-        &self,
-        bindings: &Bindings,
-        arrays: &[IndexArrayView<'_>],
-        pool: Option<&ThreadPool>,
-        parallel: impl FnOnce() -> T,
-        serial: impl FnOnce() -> T,
-    ) -> (T, GuardVerdict) {
-        let verdict = self.decide(bindings, arrays, pool);
-        let out = match verdict.path {
-            GuardPath::Parallel => parallel(),
-            GuardPath::Serial => serial(),
-        };
-        (out, verdict)
-    }
-
     /// Snapshot of the decision counters.
     pub fn stats(&self) -> GuardStats {
         GuardStats {
@@ -638,6 +585,21 @@ mod tests {
     use crate::expr::parse_check;
     use crate::inspect::MonotoneReq;
 
+    /// One invocation through both phases with stand-in variants: what
+    /// ran, and the phase-1 verdict it ran under.
+    fn run(
+        e: &GuardedExecutor,
+        bindings: &Bindings,
+        arrays: &[IndexArrayView<'_>],
+    ) -> (&'static str, GuardVerdict) {
+        let d = e.decide_recoverable("k", bindings, arrays, None);
+        let versions: Vec<u64> = arrays.iter().map(|v| v.version).collect();
+        let (out, _) = e
+            .execute_admitted("k", &d, &versions, None, || Ok("par"), || {}, || "ser")
+            .unwrap();
+        (out, d.verdict)
+    }
+
     fn amgmk_bindings(num_rownnz: i64, irownnz_max: i64) -> Bindings {
         let mut b = Bindings::new();
         b.set_var("num_rownnz", num_rownnz)
@@ -648,7 +610,7 @@ mod tests {
     #[test]
     fn no_check_admits_parallel() {
         let e = GuardedExecutor::new(None).unwrap();
-        let v = e.decide(&Bindings::new(), &[], None);
+        let (_, v) = run(&e, &Bindings::new(), &[]);
         assert_eq!(v.path, GuardPath::Parallel);
         assert_eq!(e.stats().parallel_runs, 1);
     }
@@ -657,7 +619,7 @@ mod tests {
     fn failing_check_falls_back() {
         let c = parse_check("num_rownnz - 1 <= irownnz_max").unwrap();
         let e = GuardedExecutor::new(Some(&c)).unwrap();
-        let v = e.decide(&amgmk_bindings(200, 100), &[], None);
+        let (_, v) = run(&e, &amgmk_bindings(200, 100), &[]);
         assert_eq!(v.path, GuardPath::Serial);
         assert!(matches!(v.reason, Some(ExecError::CheckFailed { .. })));
         let s = e.stats();
@@ -668,7 +630,7 @@ mod tests {
     fn unbound_symbol_falls_back_instead_of_panicking() {
         let c = parse_check("num_rownnz - 1 <= irownnz_max").unwrap();
         let e = GuardedExecutor::new(Some(&c)).unwrap();
-        let v = e.decide(&Bindings::new(), &[], None);
+        let (_, v) = run(&e, &Bindings::new(), &[]);
         assert_eq!(v.path, GuardPath::Serial);
         assert!(matches!(v.reason, Some(ExecError::CheckUnevaluable { .. })));
         assert!(v.reason.unwrap().to_string().contains("not evaluable"));
@@ -686,7 +648,7 @@ mod tests {
         b.set_var("a", 3_037_000_500)
             .set_var("b", 3_037_000_500)
             .set_var("c", 0);
-        let v = e.decide(&b, &[], None);
+        let (_, v) = run(&e, &b, &[]);
         assert_eq!(v.path, GuardPath::Serial);
         match v.reason {
             Some(ExecError::CheckUnevaluable { detail }) => {
@@ -802,7 +764,7 @@ mod tests {
             version: 0,
             required: MonotoneReq::NonStrict,
         };
-        let v = e.decide(&Bindings::new(), &[view], None);
+        let (_, v) = run(&e, &Bindings::new(), &[view]);
         assert_eq!(v.path, GuardPath::Serial);
         match v.reason {
             Some(ExecError::NotMonotone {
@@ -825,9 +787,9 @@ mod tests {
             required: MonotoneReq::Strict,
         };
         let b = amgmk_bindings(4, 4);
-        let (out, v) = e.run(&b, &[view], None, || "par", || "ser");
+        let (out, v) = run(&e, &b, &[view]);
         assert_eq!((out, v.path), ("par", GuardPath::Parallel));
-        let (out, _) = e.run(&b, &[view], None, || "par", || "ser");
+        let (out, _) = run(&e, &b, &[view]);
         assert_eq!(out, "par");
         let s = e.stats();
         assert_eq!(s.parallel_runs, 2);
@@ -845,7 +807,7 @@ mod tests {
             required: MonotoneReq::Strict,
         };
         assert_eq!(
-            e.decide(&Bindings::new(), &[strict], None).path,
+            run(&e, &Bindings::new(), &[strict]).1.path,
             GuardPath::Serial
         );
         let nonstrict = IndexArrayView {
@@ -853,7 +815,7 @@ mod tests {
             ..strict
         };
         assert_eq!(
-            e.decide(&Bindings::new(), &[nonstrict], None).path,
+            run(&e, &Bindings::new(), &[nonstrict]).1.path,
             GuardPath::Parallel
         );
     }
@@ -871,7 +833,9 @@ mod tests {
         let d = e.decide_recoverable("k", &Bindings::new(), &[view], None);
         assert_eq!(d.verdict.path, GuardPath::Parallel);
         assert_eq!(d.inspected, vec![("b".to_string(), 0)]);
-        let (out, reason) = e.execute_admitted("k", &d, &[("b", 0)], || Ok("par"), || {}, || "ser");
+        let (out, reason) = e
+            .execute_admitted("k", &d, &[0], None, || Ok("par"), || {}, || "ser")
+            .unwrap();
         assert_eq!((out, reason), ("par", None));
         let s = e.stats();
         assert_eq!((s.parallel_runs, s.serial_fallbacks), (1, 0));
@@ -890,7 +854,9 @@ mod tests {
         let d = e.decide_recoverable("k", &Bindings::new(), &[view], None);
         assert_eq!(d.verdict.path, GuardPath::Parallel);
         // A writer bumped the version between phases.
-        let (out, reason) = e.execute_admitted("k", &d, &[("b", 4)], || Ok("par"), || {}, || "ser");
+        let (out, reason) = e
+            .execute_admitted("k", &d, &[4], None, || Ok("par"), || {}, || "ser")
+            .unwrap();
         assert_eq!(out, "ser");
         assert_eq!(
             reason,
@@ -906,20 +872,23 @@ mod tests {
         let e = GuardedExecutor::new(None).unwrap();
         let d = e.decide_recoverable("k", &Bindings::new(), &[], None);
         let recovered = AtomicU64::new(0);
-        let (out, reason) = e.execute_admitted(
-            "k",
-            &d,
-            &[],
-            || {
-                Err::<&str, _>(ExecError::ParallelFault {
-                    detail: "worker died".into(),
-                })
-            },
-            || {
-                recovered.fetch_add(1, Ordering::Relaxed);
-            },
-            || "ser",
-        );
+        let (out, reason) = e
+            .execute_admitted(
+                "k",
+                &d,
+                &[],
+                None,
+                || {
+                    Err::<&str, _>(ExecError::ParallelFault {
+                        detail: "worker died".into(),
+                    })
+                },
+                || {
+                    recovered.fetch_add(1, Ordering::Relaxed);
+                },
+                || "ser",
+            )
+            .unwrap();
         assert_eq!(out, "ser");
         assert!(matches!(reason, Some(ExecError::ParallelFault { .. })));
         assert_eq!(
@@ -939,22 +908,25 @@ mod tests {
         let e = GuardedExecutor::new(None).unwrap();
         let d = e.decide_recoverable("k", &Bindings::new(), &[], None);
         let attempts = AtomicU64::new(0);
-        let (out, reason) = e.execute_admitted(
-            "k",
-            &d,
-            &[],
-            || {
-                if attempts.fetch_add(1, Ordering::Relaxed) == 0 {
-                    Err(ExecError::ParallelFault {
-                        detail: "transient".into(),
-                    })
-                } else {
-                    Ok("par")
-                }
-            },
-            || {},
-            || "ser",
-        );
+        let (out, reason) = e
+            .execute_admitted(
+                "k",
+                &d,
+                &[],
+                None,
+                || {
+                    if attempts.fetch_add(1, Ordering::Relaxed) == 0 {
+                        Err(ExecError::ParallelFault {
+                            detail: "transient".into(),
+                        })
+                    } else {
+                        Ok("par")
+                    }
+                },
+                || {},
+                || "ser",
+            )
+            .unwrap();
         assert_eq!((out, reason), ("par", None));
         let s = e.stats();
         assert_eq!((s.retries, s.retry_successes, s.parallel_runs), (1, 1, 1));
@@ -973,7 +945,7 @@ mod tests {
         // One faulting invocation = first attempt + failed retry = 2
         // consecutive faults = the threshold: the breaker opens.
         let d = e.decide_recoverable("k", &Bindings::new(), &[], None);
-        let _ = e.execute_admitted("k", &d, &[], faulty, || {}, || "ser");
+        let _ = e.execute_admitted("k", &d, &[], None, faulty, || {}, || "ser");
         assert_eq!(e.breaker_state("k"), BreakerState::Open { remaining: 3 });
         assert_eq!(e.stats().breaker_trips, 1);
         // Cooldown: three denied admissions, classified as BreakerOpen.
@@ -983,7 +955,9 @@ mod tests {
                 d.verdict.reason,
                 Some(ExecError::BreakerOpen { .. })
             ));
-            let (out, _) = e.execute_admitted("k", &d, &[], || Ok("par"), || {}, || "ser");
+            let (out, _) = e
+                .execute_admitted("k", &d, &[], None, || Ok("par"), || {}, || "ser")
+                .unwrap();
             assert_eq!(out, "ser", "pinned to serial while open");
         }
         assert_eq!(e.stats().breaker_short_circuits, 3);
@@ -991,7 +965,9 @@ mod tests {
         // the breaker closes again.
         let d = e.decide_recoverable("k", &Bindings::new(), &[], None);
         assert_eq!(d.verdict.path, GuardPath::Parallel);
-        let (out, reason) = e.execute_admitted("k", &d, &[], || Ok("par"), || {}, || "ser");
+        let (out, reason) = e
+            .execute_admitted("k", &d, &[], None, || Ok("par"), || {}, || "ser")
+            .unwrap();
         assert_eq!((out, reason), ("par", None));
         assert_eq!(e.breaker_state("k"), BreakerState::Closed { faults: 0 });
     }

@@ -102,7 +102,7 @@ pub struct PairScan {
 
 /// The wide adjacent-pair scan every inspection path is built on.
 ///
-/// The scan walks the slice in strides of [`SCAN_STRIDE`] pairs. Within
+/// The scan walks the slice in strides of `SCAN_STRIDE` pairs. Within
 /// a stride a *single* comparison per pair is OR-accumulated branch-free
 /// over the two offset views of the slice (`data[i-1]` vs `data[i]`) —
 /// a clean zip-fold the loop vectorizer turns into packed unsigned

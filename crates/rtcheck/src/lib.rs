@@ -21,9 +21,13 @@
 //! * [`InspectorCache`] — memoization of inspection verdicts keyed by
 //!   array identity and version, so repeated kernel invocations with
 //!   unchanged index arrays skip re-inspection in O(1).
-//! * [`GuardedExecutor`] — runs the parallel variant when every check and
-//!   inspection passes and degrades gracefully to the serial variant
-//!   otherwise, recording pass/fail/cache-hit counters for observability.
+//! * [`GuardedExecutor`] — the guarded invocation, in two phases: one
+//!   ladder walk (breaker admission → scalar check → per-array verdict)
+//!   behind `decide_recoverable`, `decide_ingested` and `decide_with`,
+//!   which differ only in where an array's verdict comes from; then
+//!   `execute_admitted` runs the [`Decision`] — tamper gate, parallel
+//!   attempt, one retry, serial rescue, cancel-checked at every rung —
+//!   recording pass/fail/cache-hit counters for observability.
 //! * [`ExecError`] + [`CircuitBreaker`] — the degradation policy: every
 //!   fallback is a classified error, transient machinery faults get one
 //!   bounded retry, and a kernel whose parallel path keeps faulting is

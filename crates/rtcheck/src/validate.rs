@@ -459,8 +459,9 @@ impl ComposedVerdict {
 /// summaries.
 ///
 /// Like [`ValidatedIndexArray::summary_verdict`], this describes the
-/// *last validated state* of both arrays; paranoid callers pair it with
-/// [`ValidatedIndexArray::verify`] on each level.
+/// *last validated state* of both arrays; a caller that must rule out a
+/// bypassing writer pairs it with [`ValidatedIndexArray::verify`] on
+/// each level.
 pub fn composed_verdict(
     outer: &ValidatedIndexArray,
     inner: &ValidatedIndexArray,
@@ -834,7 +835,7 @@ mod tests {
         assert!(a.summary_verdict().strict);
         a.bypass_validation_mut()[1] = 9; // breaks monotonicity, unannounced
                                           // The summary verdict is stale — and that is exactly why the
-                                          // paranoid path calls verify() first, which fails here.
+                                          // guard calls verify() first, which fails here.
         assert!(a.summary_verdict().strict);
         assert!(matches!(
             a.verify(),

@@ -1,4 +1,12 @@
-//! Kernel execution behind the service front door.
+//! The plan-and-dispatch path, and kernel execution behind the service
+//! front door.
+//!
+//! A [`Plan`] is the compile-time half of a guarded run — the analysis
+//! verdict for one kernel mapped to a [`Variant`], its runtime check
+//! compiled into a [`GuardedExecutor`] — and [`Plan::execute`] is the
+//! run-time half: decide, then [`dispatch()`]. The bench harness and the
+//! service both run through it; they differ only in where an index
+//! array's verdict comes from.
 //!
 //! A [`KernelRegistry`] lazily builds one [`KernelEntry`] per
 //! (kernel, dataset) pair: the compile-time analysis runs once, the
@@ -17,17 +25,15 @@
 //! once more, so a writer racing between inspection and dispatch forces
 //! the serial golden path rather than a stale parallel admission.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
 use subsub_core::{analyze_program, AlgorithmLevel, CheckExpr};
-use subsub_failpoint as failpoint;
-use subsub_kernels::{kernel_by_name, KernelInstance, Variant};
-use subsub_omprt::{cancel::with_ambient_cancel, CancelToken, RegionError, Schedule, ThreadPool};
+use subsub_kernels::{dispatch, kernel_by_name, run_serial_on, Kernel, KernelInstance, Variant};
+use subsub_omprt::{CancelToken, Schedule, ThreadPool};
 use subsub_rtcheck::{
-    Decision, ExecError, GuardPath, GuardStats, GuardVerdict, GuardedExecutor, Provenance,
-    ValidatedIndexArray,
+    Bindings, Decision, ExecError, GuardPath, GuardStats, GuardedExecutor, IndexArrayView,
+    Provenance, ValidatedIndexArray,
 };
 
 use crate::request::{Outcome, ServiceError};
@@ -51,13 +57,113 @@ struct PreparedInstance {
     copied_at: Vec<u64>,
 }
 
-/// One (kernel, dataset) pair: analysis decision, compiled check,
-/// guarded executor, and an instance pool.
+/// One kernel's analysis verdict, bound to the executor that guards it.
+pub struct Plan {
+    /// The kernel's name: the breaker key and the telemetry label.
+    pub name: String,
+    /// The variant the analysis selected for the kernel's compute nest
+    /// (the last top-level nest — fills precede it under the paper's
+    /// inline-expansion methodology).
+    pub variant: Variant,
+    /// The structured check guarding that decision, if any.
+    pub check: Option<CheckExpr>,
+    /// `check`, compiled, with the kernel's memo, breaker and counters.
+    pub executor: GuardedExecutor,
+}
+
+impl Plan {
+    /// Runs the compile-time pipeline on the kernel's C source at `level`
+    /// and compiles the runtime check of the resulting decision.
+    pub fn new(kernel: &dyn Kernel, level: AlgorithmLevel) -> Result<Plan, ServiceError> {
+        let name = kernel.name();
+        let report =
+            analyze_program(kernel.source(), level).map_err(|e| ServiceError::Rejected {
+                code: e.code().to_string(),
+                detail: e.to_string(),
+            })?;
+        let func = report
+            .function(kernel.func_name())
+            .ok_or_else(|| ServiceError::Rejected {
+                code: "missing-function".to_string(),
+                detail: format!("{name}: function {} missing", kernel.func_name()),
+            })?;
+        let nest = func.last_nest_parallel();
+        let variant = match nest {
+            None => Variant::Serial,
+            Some(l) if l.depth == 0 => Variant::OuterParallel,
+            Some(_) => Variant::InnerParallel,
+        };
+        let check = nest
+            .and_then(|l| l.decision.plan())
+            .and_then(|p| p.runtime_check.clone());
+        let executor =
+            GuardedExecutor::new(check.as_ref()).map_err(|e| ServiceError::Rejected {
+                code: "check-not-executable".to_string(),
+                detail: format!("{name}: check not executable: {e}"),
+            })?;
+        Ok(Plan {
+            name: name.to_string(),
+            variant,
+            check,
+            executor,
+        })
+    }
+
+    /// One guarded invocation on `inst`: a decision, then [`dispatch()`].
+    ///
+    /// The decision is taken off the ladder when no runtime evidence can
+    /// change it — the analysis kept the loop serial
+    /// ([`ExecError::AnalysisSerial`]), or the caller is running
+    /// serial-only (`serialized`: [`ExecError::Serialized`]) — and by
+    /// `decide` otherwise, which is handed the instance's scalar bindings
+    /// and index arrays and picks the `GuardedExecutor::decide_*` front
+    /// (that is: where an array's verdict comes from). Either way it runs
+    /// through the one dispatch, so it is counted, traced, cancel-checked
+    /// and, if it has to be, rescued the same way.
+    ///
+    /// Returns the result digest and why the run did not finish parallel
+    /// (`None` when it did); `Err` only when `cancel` tripped.
+    #[allow(clippy::too_many_arguments)]
+    pub fn execute(
+        &self,
+        inst: &mut dyn KernelInstance,
+        serialized: bool,
+        decide: impl FnOnce(&Bindings, &[IndexArrayView<'_>]) -> Decision,
+        pool: &ThreadPool,
+        sched: Schedule,
+        cancel: Option<&Arc<CancelToken>>,
+        site: &'static str,
+    ) -> Result<(f64, Option<ExecError>), ExecError> {
+        let _kernel_span =
+            subsub_telemetry::span_labeled(subsub_telemetry::Phase::KernelRun, &self.name);
+        if cancel.is_some_and(|c| c.is_cancelled()) {
+            return Err(ExecError::Cancelled);
+        }
+        let decision = if self.variant == Variant::Serial {
+            Decision::serial(&self.name, ExecError::AnalysisSerial)
+        } else if serialized {
+            Decision::serial(&self.name, ExecError::Serialized)
+        } else {
+            decide(&inst.runtime_bindings(), &inst.index_arrays())
+        };
+        dispatch(
+            &self.executor,
+            &self.name,
+            self.variant,
+            inst,
+            &decision,
+            pool,
+            sched,
+            cancel,
+            site,
+        )
+    }
+}
+
+/// One (kernel, dataset) pair: its [`Plan`] and an instance pool.
 pub struct KernelEntry {
-    kernel_name: String,
+    plan: Plan,
     dataset: String,
-    variant: Variant,
-    executor: GuardedExecutor,
     pool_of_instances: Mutex<Vec<PreparedInstance>>,
     golden: Mutex<Option<f64>>,
 }
@@ -92,61 +198,35 @@ impl KernelEntry {
                 name: format!("{kernel_name}:{dataset}"),
             }
         })?;
-        let report =
-            analyze_program(kernel.source(), level).map_err(|e| ServiceError::Rejected {
-                code: e.code().to_string(),
-                detail: e.to_string(),
-            })?;
-        let func = report
-            .function(kernel.func_name())
-            .ok_or_else(|| ServiceError::Rejected {
-                code: "missing-function".to_string(),
-                detail: format!("{kernel_name}: function {} missing", kernel.func_name()),
-            })?;
-        let (variant, check): (Variant, Option<CheckExpr>) = match func.last_nest_parallel() {
-            None => (Variant::Serial, None),
-            Some(l) => (
-                if l.depth == 0 {
-                    Variant::OuterParallel
-                } else {
-                    Variant::InnerParallel
-                },
-                l.decision.plan().and_then(|p| p.runtime_check.clone()),
-            ),
-        };
-        let executor =
-            GuardedExecutor::new(check.as_ref()).map_err(|e| ServiceError::Rejected {
-                code: "check-not-executable".to_string(),
-                detail: format!("{kernel_name}: check not executable: {e}"),
-            })?;
         let entry = KernelEntry {
-            kernel_name: kernel_name.to_string(),
+            plan: Plan::new(kernel.as_ref(), level)?,
             dataset: dataset.to_string(),
-            variant,
-            executor,
             pool_of_instances: Mutex::new(Vec::new()),
             golden: Mutex::new(None),
         };
-        let (ingested, copied_at) = entry.ingest_views(probe.as_ref());
-        lock(&entry.pool_of_instances).push(PreparedInstance {
-            inst: probe,
-            ingested,
-            copied_at,
-        });
+        entry.adopt(probe);
         Ok(entry)
     }
 
     /// The compile-time variant decision.
     pub fn variant(&self) -> Variant {
-        self.variant
+        self.plan.variant
     }
 
     /// Guard decision counters for this entry.
     pub fn guard_stats(&self) -> GuardStats {
-        self.executor.stats()
+        self.plan.executor.stats()
     }
 
-    fn ingest_views(&self, inst: &dyn KernelInstance) -> (Vec<ValidatedIndexArray>, Vec<u64>) {
+    /// Puts a caller-prepared instance of this entry's (kernel, dataset)
+    /// on top of the pool: the next execution checks it out.
+    pub fn adopt(&self, inst: Box<dyn KernelInstance>) {
+        let p = self.prepared(inst);
+        lock(&self.pool_of_instances).push(p);
+    }
+
+    /// Ingests `inst`'s index arrays as they are now.
+    fn prepared(&self, inst: Box<dyn KernelInstance>) -> PreparedInstance {
         let mut ingested = Vec::new();
         let mut copied_at = Vec::new();
         for view in inst.index_arrays() {
@@ -157,23 +237,13 @@ impl KernelEntry {
                 view.data.to_vec(),
                 usize::MAX,
                 Provenance::Dataset {
-                    name: format!("{}:{}", self.kernel_name, self.dataset),
+                    name: format!("{}:{}", self.plan.name, self.dataset),
                 },
             )
             .expect("usize::MAX domain admits any subscript");
             ingested.push(arr);
             copied_at.push(view.version);
         }
-        (ingested, copied_at)
-    }
-
-    fn checkout(&self) -> PreparedInstance {
-        if let Some(p) = lock(&self.pool_of_instances).pop() {
-            return p;
-        }
-        let kernel = kernel_by_name(&self.kernel_name).expect("entry validated at construction");
-        let inst = kernel.prepare(&self.dataset);
-        let (ingested, copied_at) = self.ingest_views(inst.as_ref());
         PreparedInstance {
             inst,
             ingested,
@@ -181,36 +251,24 @@ impl KernelEntry {
         }
     }
 
+    fn checkout(&self) -> PreparedInstance {
+        if let Some(p) = lock(&self.pool_of_instances).pop() {
+            return p;
+        }
+        let kernel = kernel_by_name(&self.plan.name).expect("entry validated at construction");
+        self.prepared(kernel.prepare(&self.dataset))
+    }
+
     /// Returns an instance to the pool, reset — on `team` when there is
     /// one (`reset_on` redoes a faulted region inline, so the instance
     /// is pristine either way).
     fn restore(&self, mut p: PreparedInstance, team: Option<&ThreadPool>) {
         p.inst.reset_on(team);
-        // Reset restores the pristine dataset but also rolls back any
-        // tamper, so the copies must be refreshed on next checkout if
-        // versions moved; `refresh` below handles that lazily.
+        // A copy whose instance's versions have moved by the next
+        // checkout is re-ingested there, lazily (`refresh`).
         let mut pool = lock(&self.pool_of_instances);
         if pool.len() < INSTANCE_POOL_CAP {
             pool.push(p);
-        }
-    }
-
-    /// Re-ingests any index-array copy whose live write-version moved
-    /// since the copy was taken.
-    fn refresh(p: &mut PreparedInstance) {
-        let views = p.inst.index_arrays();
-        for (i, view) in views.iter().enumerate() {
-            if p.copied_at.get(i).copied() != Some(view.version) {
-                let refreshed = ValidatedIndexArray::ingest(
-                    view.name,
-                    view.data.to_vec(),
-                    usize::MAX,
-                    p.ingested[i].provenance().clone(),
-                )
-                .expect("usize::MAX domain admits any subscript");
-                p.ingested[i] = refreshed;
-                p.copied_at[i] = view.version;
-            }
         }
     }
 
@@ -222,8 +280,7 @@ impl KernelEntry {
             return g;
         }
         let mut p = self.checkout();
-        p.inst.run_serial();
-        let g = p.inst.checksum_on(Some(pool));
+        let g = run_serial_on(p.inst.as_mut(), Some(pool));
         self.restore(p, Some(pool));
         *lock(&self.golden) = Some(g);
         g
@@ -231,8 +288,7 @@ impl KernelEntry {
 
     /// One guarded execution through the service's sharded verdict
     /// cache. `serialized` forces the serial path (degraded-mode
-    /// admission); `paranoid` re-verifies ingested copies before
-    /// serving cached verdicts; `cancel` (the per-job token) is
+    /// admission, quarantine probes); `cancel` (the per-job token) is
     /// installed as the ambient token around every kernel region and
     /// checked at each rung boundary — a tripped token abandons the
     /// invocation with [`ServiceError::Canceled`], discarding partial
@@ -242,11 +298,10 @@ impl KernelEntry {
         cache: &ShardedVerdictCache,
         pool: &ThreadPool,
         serialized: bool,
-        paranoid: bool,
         cancel: Option<&Arc<CancelToken>>,
     ) -> Result<ExecReport, ServiceError> {
         let mut p = self.checkout();
-        let report = self.execute_prepared(&mut p, cache, pool, serialized, paranoid, cancel);
+        let report = self.execute_prepared(&mut p, cache, pool, serialized, cancel);
         // Serialized mode exists because the pool is suspect: its
         // epilogue opens no region either.
         self.restore(p, (!serialized).then_some(pool));
@@ -259,131 +314,38 @@ impl KernelEntry {
         cache: &ShardedVerdictCache,
         pool: &ThreadPool,
         serialized: bool,
-        paranoid: bool,
         cancel: Option<&Arc<CancelToken>>,
     ) -> Result<ExecReport, ServiceError> {
-        let _kernel_span =
-            subsub_telemetry::span_labeled(subsub_telemetry::Phase::KernelRun, &self.kernel_name);
-        let cancelled = || cancel.is_some_and(|c| c.is_cancelled());
-        if cancelled() {
-            return Err(ServiceError::Canceled);
-        }
-        if self.variant == Variant::Serial || serialized {
-            p.inst.run_serial();
-            if cancelled() {
-                return Err(ServiceError::Canceled);
-            }
-            return Ok(ExecReport {
-                outcome: Outcome::Executed {
-                    path: GuardPath::Serial,
-                    checksum: p.inst.checksum(),
-                    degraded: (self.variant == Variant::Serial)
-                        .then_some(ExecError::AnalysisSerial),
-                },
-                cache: None,
-            });
-        }
-        KernelEntry::refresh(p);
-        let bindings = p.inst.runtime_bindings();
-        // Breaker admission + scalar check (no arrays: inspection goes
-        // through the shard cache below, not the per-executor memo).
-        let mut decision =
-            self.executor
-                .decide_recoverable(&self.kernel_name, &bindings, &[], Some(pool));
-        let mut cache_lookup: Option<Lookup> = None;
-        if decision.verdict.path == GuardPath::Parallel {
-            let required: Vec<_> = p.inst.index_arrays().iter().map(|v| v.required).collect();
-            let mut inspected = Vec::with_capacity(p.ingested.len());
-            let mut denial: Option<ExecError> = None;
-            for (i, arr) in p.ingested.iter().enumerate() {
-                match cache.verdict_for(arr, Some(pool), paranoid) {
-                    Ok((verdict, lookup)) => {
-                        cache_lookup = Some(match cache_lookup {
-                            None => lookup,
-                            Some(prev) => combine(prev, lookup),
-                        });
-                        inspected.push((arr.name().to_string(), p.copied_at[i]));
-                        if !verdict.satisfies(required[i]) {
-                            denial = Some(ExecError::NotMonotone {
-                                array: arr.name().to_string(),
-                                required: required[i],
-                                first_violation: verdict.first_violation,
-                            });
-                            break;
-                        }
-                    }
-                    Err(e) => {
-                        denial = Some(e.into());
-                        break;
-                    }
-                }
-            }
-            decision = Decision {
-                verdict: match denial {
-                    None => GuardVerdict {
-                        path: GuardPath::Parallel,
-                        reason: None,
-                    },
-                    Some(reason) => GuardVerdict {
-                        path: GuardPath::Serial,
-                        reason: Some(reason),
-                    },
-                },
-                inspected,
-            };
-        }
-        // Dispatch-time tamper gate: re-read the live versions.
-        let versions_owned: Vec<(String, u64)> = p
-            .inst
-            .index_arrays()
-            .iter()
-            .map(|v| (v.name.to_string(), v.version))
-            .collect();
-        let versions: Vec<(&str, u64)> = versions_owned
-            .iter()
-            .map(|(n, v)| (n.as_str(), *v))
-            .collect();
-        let variant = self.variant;
-        let cell = RefCell::new(&mut p.inst);
-        let (checksum, reason) = match self.executor.execute_admitted_cancellable(
-            &self.kernel_name,
-            &decision,
-            &versions,
-            cancel.map(Arc::as_ref),
-            || {
-                let mut inst = cell.borrow_mut();
-                let mut run = || {
-                    let r = catch_unwind(AssertUnwindSafe(|| {
-                        failpoint::hit("service.kernel.parallel");
-                        inst.run(variant, pool, Schedule::Static { chunk: None });
-                    }));
-                    match r {
-                        Ok(()) => Ok(inst.checksum_on(Some(pool))),
-                        Err(panic) => Err(classify_panic(panic.as_ref())),
-                    }
-                };
-                // The ambient scope makes the per-job token visible to
-                // every region the kernel opens on the shared pool, so
-                // a janitor-tripped deadline stops the run between
-                // chunk claims instead of after the kernel finishes.
-                match cancel {
-                    Some(token) => with_ambient_cancel(token, run),
-                    None => run(),
-                }
+        let PreparedInstance {
+            inst,
+            ingested,
+            copied_at,
+        } = p;
+        let mut lookup: Option<Lookup> = None;
+        let ran = self.plan.execute(
+            inst.as_mut(),
+            serialized,
+            |bindings, views| {
+                refresh(ingested, copied_at, views);
+                // Inspection goes through the shard cache, not the
+                // per-executor memo: the copies carry the content
+                // identity it keys on, and `refresh` just made each one
+                // current as of its view's write-version.
+                self.plan
+                    .executor
+                    .decide_with(&self.plan.name, bindings, views, |i| {
+                        let (verdict, answered) = cache.verdict_for(&ingested[i])?;
+                        lookup = Some(lookup.map_or(answered, |prev| combine(prev, answered)));
+                        Ok(verdict)
+                    })
             },
-            || {
-                cell.borrow_mut().reset();
-            },
-            || {
-                let mut inst = cell.borrow_mut();
-                inst.run_serial();
-                inst.checksum()
-            },
-        ) {
-            Ok(out) => out,
-            Err(_) => return Err(ServiceError::Canceled),
-        };
-        let path = if reason.is_none() {
+            pool,
+            Schedule::Static { chunk: None },
+            cancel,
+            "service.kernel.parallel",
+        );
+        let (checksum, degraded) = ran.map_err(|_| ServiceError::Canceled)?;
+        let path = if degraded.is_none() {
             GuardPath::Parallel
         } else {
             GuardPath::Serial
@@ -392,10 +354,31 @@ impl KernelEntry {
             outcome: Outcome::Executed {
                 path,
                 checksum,
-                degraded: reason,
+                degraded,
             },
-            cache: cache_lookup,
+            cache: lookup,
         })
+    }
+}
+
+/// Re-ingests any index-array copy whose live write-version moved since
+/// the copy was taken.
+fn refresh(
+    ingested: &mut [ValidatedIndexArray],
+    copied_at: &mut [u64],
+    views: &[IndexArrayView<'_>],
+) {
+    for (i, view) in views.iter().enumerate() {
+        if copied_at[i] != view.version {
+            ingested[i] = ValidatedIndexArray::ingest(
+                view.name,
+                view.data.to_vec(),
+                usize::MAX,
+                ingested[i].provenance().clone(),
+            )
+            .expect("usize::MAX domain admits any subscript");
+            copied_at[i] = view.version;
+        }
     }
 }
 
@@ -414,35 +397,6 @@ fn combine(a: Lookup, b: Lookup) -> Lookup {
         b
     } else {
         a
-    }
-}
-
-/// Maps a caught panic payload from a parallel kernel run onto the
-/// [`ExecError`] taxonomy.
-fn classify_panic(p: &(dyn std::any::Any + Send)) -> ExecError {
-    if let Some(e) = p.downcast_ref::<RegionError>() {
-        return match e {
-            RegionError::DeadlineExceeded => ExecError::Timeout,
-            other => ExecError::ParallelFault {
-                detail: other.to_string(),
-            },
-        };
-    }
-    if let Some(inj) = p.downcast_ref::<failpoint::InjectedPanic>() {
-        return ExecError::ParallelFault {
-            detail: inj.to_string(),
-        };
-    }
-    if let Some(s) = p.downcast_ref::<&str>() {
-        return ExecError::ParallelFault {
-            detail: (*s).to_string(),
-        };
-    }
-    if let Some(s) = p.downcast_ref::<String>() {
-        return ExecError::ParallelFault { detail: s.clone() };
-    }
-    ExecError::ParallelFault {
-        detail: "non-string panic payload".into(),
     }
 }
 
@@ -499,9 +453,9 @@ mod tests {
         let pool = ThreadPool::new(2);
         let entry = KernelEntry::new("AMGmk", "test", AlgorithmLevel::New).unwrap();
         assert_eq!(entry.variant(), Variant::OuterParallel);
-        let first = entry.execute(&cache, &pool, false, true, None).unwrap();
+        let first = entry.execute(&cache, &pool, false, None).unwrap();
         assert_eq!(first.cache, Some(Lookup::Miss));
-        let second = entry.execute(&cache, &pool, false, true, None).unwrap();
+        let second = entry.execute(&cache, &pool, false, None).unwrap();
         assert_eq!(second.cache, Some(Lookup::Hit));
         let (Outcome::Executed { checksum: a, .. }, Outcome::Executed { checksum: b, .. }) =
             (&first.outcome, &second.outcome)
@@ -524,12 +478,21 @@ mod tests {
         let pool = ThreadPool::new(2);
         let entry = KernelEntry::new("StridedScatter", "n256k", AlgorithmLevel::New).unwrap();
         assert_eq!(entry.variant(), Variant::OuterParallel);
-        let r = entry.execute(&cache, &pool, true, true, None).unwrap();
+        let r = entry.execute(&cache, &pool, true, None).unwrap();
         assert_eq!(pool.health().regions, 0, "serialized mode opened a region");
-        let Outcome::Executed { path, checksum, .. } = r.outcome else {
+        let Outcome::Executed {
+            path,
+            checksum,
+            degraded,
+        } = r.outcome
+        else {
             panic!("expected executed outcome");
         };
-        assert_eq!(path, GuardPath::Serial);
+        assert_eq!(
+            (path, degraded),
+            (GuardPath::Serial, Some(ExecError::Serialized)),
+            "a run the service kept serial says so"
+        );
         assert!(r.cache.is_none(), "serialized mode skips inspection");
         // The pooled golden opens regions, and agrees to the bit.
         assert_eq!(checksum.to_bits(), entry.golden_checksum(&pool).to_bits());

@@ -43,7 +43,7 @@ pub mod shard;
 pub mod snapshot;
 pub mod store;
 
-pub use exec::{ExecReport, KernelEntry, KernelRegistry};
+pub use exec::{ExecReport, KernelEntry, KernelRegistry, Plan};
 pub use lifecycle::{Doom, JobControl};
 pub use quarantine::{Admission, Quarantine, QuarantineConfig, QuarantineStats};
 pub use request::{

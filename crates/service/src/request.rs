@@ -241,7 +241,10 @@ pub enum Outcome {
         path: GuardPath,
         /// Kernel output checksum (for divergence checking).
         checksum: f64,
-        /// Whether the parallel attempt degraded to serial rescue.
+        /// Why the run did not finish parallel, when it did not: `path`
+        /// is `Serial` exactly when this is `Some`. A request the service
+        /// itself kept serial — its `Serialized` cooldown, a quarantine
+        /// probe — says [`ExecError::Serialized`].
         degraded: Option<ExecError>,
     },
 }

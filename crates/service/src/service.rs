@@ -52,8 +52,10 @@
 //! denials, parallel faults). Any observation flips the mode to
 //! `Serialized { remaining }`: the next `remaining` admitted kernel
 //! requests run the serial golden path only — no inspection, no
-//! parallel dispatch — giving the pool's self-healing watchdog room to
-//! respawn workers without a stampede of faulting regions. While
+//! parallel dispatch, and an outcome that says so
+//! (`degraded: Some(ExecError::Serialized)`) — giving the pool's
+//! self-healing watchdog room to respawn workers without a stampede of
+//! faulting regions. While
 //! serialized, a queue at half capacity sheds new work as `Degraded`
 //! instead of letting latency balloon. The cooldown spent, the mode
 //! snaps back to `Normal`. Identities that keep *causing* faults are
@@ -107,8 +109,6 @@ pub struct ServiceConfig {
     pub level: AlgorithmLevel,
     /// Threads in the shared omprt pool.
     pub pool_threads: usize,
-    /// Re-verify ingested arrays before serving cached verdicts.
-    pub paranoid_verify: bool,
     /// Kernel requests to serialize after observing degradation.
     pub serialized_cooldown: u64,
     /// Deadline applied to requests that carry none (`None` = requests
@@ -141,7 +141,6 @@ impl Default for ServiceConfig {
             shard_capacity: 256,
             level: AlgorithmLevel::New,
             pool_threads: 3,
-            paranoid_verify: true,
             serialized_cooldown: 16,
             default_deadline: None,
             quarantine: QuarantineConfig::default(),
@@ -515,15 +514,11 @@ impl Inner {
                 cache: None,
             },
             Payload::Execute { kernel, dataset } => {
-                match self.registry.entry(kernel, dataset).and_then(|e| {
-                    e.execute(
-                        &self.cache,
-                        &self.pool,
-                        serialized,
-                        self.cfg.paranoid_verify,
-                        cancel,
-                    )
-                }) {
+                match self
+                    .registry
+                    .entry(kernel, dataset)
+                    .and_then(|e| e.execute(&self.cache, &self.pool, serialized, cancel))
+                {
                     Ok(report) => {
                         // Guarded outcomes that fell back for fault-like
                         // reasons feed the degradation ladder.

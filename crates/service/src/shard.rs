@@ -28,9 +28,7 @@
 //!
 //! Soundness: a cached verdict describes exactly the content its key's
 //! checksum fingerprints. [`ShardedVerdictCache::verdict_for`] accepts
-//! only a [`ValidatedIndexArray`] and (optionally, see
-//! [`crate::ServiceConfig::paranoid_verify`]) re-verifies it first, so
-//! an array tampered through the trust boundary (version bump →
+//! only a [`ValidatedIndexArray`] and re-verifies it first, so an array tampered through the trust boundary (version bump →
 //! checksum refresh) computes a *different key* and misses, while a
 //! bypassing writer (stale checksum) is rejected outright. Dispatch
 //! additionally re-validates write-versions (the executor's tamper
@@ -43,7 +41,6 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use subsub_failpoint as failpoint;
-use subsub_omprt::ThreadPool;
 use subsub_rtcheck::{
     MonotoneVerdict, ValidatedIndexArray, ValidationError, VerdictCache, FINGERPRINT_VERSION,
 };
@@ -261,31 +258,24 @@ impl ShardedVerdictCache {
     }
 
     /// The verdict for `array` under `required`-agnostic inspection:
-    /// verifies the array first when `paranoid` is set (catching
-    /// bypassing writers), then serves the content-keyed verdict,
-    /// coalescing concurrent misses on the same key into one verdict
-    /// computation.
+    /// verifies the array first (catching bypassing writers), then
+    /// serves the content-keyed verdict, coalescing concurrent misses on
+    /// the same key into one verdict computation.
     ///
     /// A miss is served from the array's block summaries in O(blocks) —
     /// the trust boundary already paid the O(n) scan at ingestion (and
     /// O(Δ) per ranged mutation), and its dirty-window bookkeeping
     /// keeps the summaries current through every sanctioned write.
     /// That summary-derived verdict and the key's checksum describe the
-    /// same validated state by construction; `paranoid` mode
+    /// same validated state by construction; the `verify()` up front
     /// additionally proves (by recomputing the fingerprint from raw
-    /// data in `verify()`) that the *bytes* still match that state, so
-    /// a bypassing writer is rejected before the summaries are
-    /// consulted. The `pool` parameter is kept for call-site
-    /// compatibility: no per-request O(n) scan remains to parallelize.
+    /// data) that the *bytes* still match that state, so a bypassing
+    /// writer is rejected before the summaries are consulted.
     pub fn verdict_for(
         &self,
         array: &ValidatedIndexArray,
-        _pool: Option<&ThreadPool>,
-        paranoid: bool,
     ) -> Result<(MonotoneVerdict, Lookup), ValidationError> {
-        if paranoid {
-            array.verify()?;
-        }
+        array.verify()?;
         let key = VerdictKey::of(array, InspectorKind::Monotone);
         let (verdict, lookup) = self.get_or_compute(key, || array.summary_verdict());
         Ok((verdict, lookup))
@@ -434,8 +424,8 @@ mod tests {
         let cache = ShardedVerdictCache::new(4, 64);
         let a = ingest("a", vec![0, 1, 2, 3]);
         let b = ingest("a", vec![0, 1, 2, 3]); // separate allocation
-        let (va, la) = cache.verdict_for(&a, None, true).unwrap();
-        let (vb, lb) = cache.verdict_for(&b, None, true).unwrap();
+        let (va, la) = cache.verdict_for(&a).unwrap();
+        let (vb, lb) = cache.verdict_for(&b).unwrap();
         assert_eq!((la, lb), (Lookup::Miss, Lookup::Hit));
         assert_eq!(va, vb);
         assert_eq!(cache.stats().misses, 1);
@@ -445,23 +435,23 @@ mod tests {
     fn mutation_through_the_boundary_changes_the_key() {
         let cache = ShardedVerdictCache::new(4, 64);
         let mut a = ingest("a", vec![0, 1, 2, 3]);
-        let (v, _) = cache.verdict_for(&a, None, true).unwrap();
+        let (v, _) = cache.verdict_for(&a).unwrap();
         assert!(v.strict);
         a.mutate(|d| d[2] = 0).unwrap();
         // Version bumped, checksum refreshed: new key, fresh inspection.
-        let (v2, lookup) = cache.verdict_for(&a, None, true).unwrap();
+        let (v2, lookup) = cache.verdict_for(&a).unwrap();
         assert_eq!(lookup, Lookup::Miss);
         assert!(!v2.nonstrict);
         assert_eq!(cache.stats().misses, 2);
     }
 
     #[test]
-    fn bypassing_writer_is_rejected_in_paranoid_mode() {
+    fn bypassing_writer_is_rejected() {
         let cache = ShardedVerdictCache::new(2, 64);
         let mut a = ingest("a", vec![0, 1, 2, 3]);
-        cache.verdict_for(&a, None, true).unwrap();
+        cache.verdict_for(&a).unwrap();
         a.bypass_validation_mut()[1] = 3; // unannounced write
-        let err = cache.verdict_for(&a, None, true).unwrap_err();
+        let err = cache.verdict_for(&a).unwrap_err();
         assert!(matches!(err, ValidationError::ChecksumMismatch { .. }));
     }
 
@@ -476,8 +466,8 @@ mod tests {
             Provenance::Generated { seed: 7 },
         )
         .unwrap();
-        cache.verdict_for(&a, None, true).unwrap();
-        let (_, lookup) = cache.verdict_for(&b, None, true).unwrap();
+        cache.verdict_for(&a).unwrap();
+        let (_, lookup) = cache.verdict_for(&b).unwrap();
         assert_eq!(lookup, Lookup::Miss, "different provenance, different key");
     }
 
@@ -495,7 +485,7 @@ mod tests {
                 len: 3,
             },
         );
-        let (v, lookup) = cache.verdict_for(&a, None, true).unwrap();
+        let (v, lookup) = cache.verdict_for(&a).unwrap();
         assert_eq!(lookup, Lookup::WarmHit);
         assert!(v.strict);
         let s = cache.stats();
@@ -507,7 +497,7 @@ mod tests {
         let cache = ShardedVerdictCache::new(1, 4);
         for i in 0..32usize {
             let a = ingest("a", vec![i, i + 1, i + 2]);
-            cache.verdict_for(&a, None, true).unwrap();
+            cache.verdict_for(&a).unwrap();
         }
         let s = cache.stats();
         assert_eq!(s.entries, 4);

@@ -298,7 +298,7 @@ mod tests {
                 Provenance::Generated { seed: seed as u64 },
             )
             .unwrap();
-            cache.verdict_for(&a, None, true).unwrap();
+            cache.verdict_for(&a).unwrap();
         }
         cache
     }

@@ -39,9 +39,7 @@ fn golden() -> f64 {
 
 fn assert_golden_on_the_parallel_path(entry: &KernelEntry, pool: &ThreadPool, golden: f64) {
     let cache = ShardedVerdictCache::new(2, 16);
-    let report = entry
-        .execute(&cache, pool, false, true, None)
-        .expect("executes");
+    let report = entry.execute(&cache, pool, false, None).expect("executes");
     let Outcome::Executed {
         path,
         checksum,
@@ -109,7 +107,7 @@ fn a_request_cancelled_mid_run_returns_a_pristine_instance() {
                 }
                 token.cancel();
             });
-            entry.execute(&cache, &pool, false, true, Some(&token))
+            entry.execute(&cache, &pool, false, Some(&token))
         })
     };
     assert!(matches!(cancelled, Err(ServiceError::Canceled)));

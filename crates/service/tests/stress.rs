@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 use subsub_failpoint::{self as failpoint, Arm, FailPlan, Fire};
-use subsub_rtcheck::{Provenance, ValidatedIndexArray};
+use subsub_rtcheck::{ExecError, Provenance, ValidatedIndexArray};
 use subsub_service::{
     write_snapshot, AnalysisService, InspectorKind, Lookup, Outcome, Payload, QuarantineConfig,
     Request, ServiceConfig, ServiceError, ShardedVerdictCache, ShedReason, VerdictKey,
@@ -138,14 +138,14 @@ fn racing_service_requests_share_one_inspection() {
 fn tampered_array_never_serves_stale_verdict_from_live_shards() {
     let cache = ShardedVerdictCache::new(4, 64);
     let mut a = ingest("t", (0..256).collect());
-    let (v, lookup) = cache.verdict_for(&a, None, true).unwrap();
+    let (v, lookup) = cache.verdict_for(&a).unwrap();
     assert!(v.strict);
     assert_eq!(lookup, Lookup::Miss);
     // Hot: second lookup hits.
-    assert_eq!(cache.verdict_for(&a, None, true).unwrap().1, Lookup::Hit);
+    assert_eq!(cache.verdict_for(&a).unwrap().1, Lookup::Hit);
     // Tamper through the boundary: break monotonicity.
     a.mutate(|d| d[100] = 0).unwrap();
-    let (v2, lookup2) = cache.verdict_for(&a, None, true).unwrap();
+    let (v2, lookup2) = cache.verdict_for(&a).unwrap();
     assert_eq!(lookup2, Lookup::Miss, "stale verdict served after tamper");
     assert!(!v2.nonstrict, "fresh inspection must see the violation");
     assert_eq!(v2.first_violation, Some(100));
@@ -159,14 +159,14 @@ fn tampered_array_never_serves_stale_verdict_from_snapshot() {
     let live = ShardedVerdictCache::new(4, 64);
     let mut a = ingest("w", (0..256).collect());
     let twin = ingest("w", (0..256).collect());
-    live.verdict_for(&a, None, true).unwrap();
+    live.verdict_for(&a).unwrap();
     let snapshot = write_snapshot(&live);
 
     a.mutate(|d| d[7] = 0).unwrap();
 
     let fresh = ShardedVerdictCache::new(4, 64);
     subsub_service::load_snapshot(&fresh, &snapshot).expect("valid snapshot");
-    let (v, lookup) = fresh.verdict_for(&a, None, true).unwrap();
+    let (v, lookup) = fresh.verdict_for(&a).unwrap();
     assert_eq!(
         lookup,
         Lookup::Miss,
@@ -174,7 +174,7 @@ fn tampered_array_never_serves_stale_verdict_from_snapshot() {
     );
     assert!(!v.nonstrict);
     // The untampered twin is exactly what the snapshot described.
-    let (tv, tlookup) = fresh.verdict_for(&twin, None, true).unwrap();
+    let (tv, tlookup) = fresh.verdict_for(&twin).unwrap();
     assert_eq!(tlookup, Lookup::WarmHit);
     assert!(tv.strict);
 }
@@ -532,8 +532,15 @@ fn quarantine_isolates_poison_payload_and_releases_on_clean_probe() {
         .expect("probe must be admitted after backoff")
         .wait();
     assert!(
-        matches!(probe.result, Ok(Outcome::Executed { .. })),
-        "serial probe must complete"
+        matches!(
+            probe.result,
+            Ok(Outcome::Executed {
+                degraded: Some(ExecError::Serialized),
+                ..
+            })
+        ),
+        "serial probe must complete, and say it was kept serial: {:?}",
+        probe.result
     );
     assert!(
         !service.is_quarantined(&poison),

@@ -8,7 +8,7 @@
 
 use std::sync::Mutex;
 use subsub::core::AlgorithmLevel;
-use subsub::kernels::{common::close, kernel_by_name, Variant};
+use subsub::kernels::{common::close, dispatch, kernel_by_name, Variant};
 use subsub::omprt::{Schedule, ThreadPool};
 use subsub::rtcheck::{BreakerState, ExecError, GuardPath, GuardedExecutor};
 use subsub_bench::{chaos_sweep, GuardedHarness, DEFAULT_SEEDS};
@@ -157,27 +157,33 @@ fn tamper_between_inspection_and_dispatch_is_caught() {
     // tamper hook corrupts the index arrays and bumps their versions.
     assert!(inst.tamper_index_arrays());
 
-    let versions_owned: Vec<(String, u64)> = inst
-        .index_arrays()
-        .iter()
-        .map(|v| (v.name.to_string(), v.version))
-        .collect();
-    let versions: Vec<(&str, u64)> = versions_owned
-        .iter()
-        .map(|(n, v)| (n.as_str(), *v))
-        .collect();
-    let (out, reason) = exec.execute_admitted(
+    // The serial answer on the tampered data, from an instance the guard
+    // never saw.
+    let mut twin = k.prepare("test");
+    assert!(twin.tamper_index_arrays());
+    twin.run_serial();
+
+    let (out, reason) = dispatch(
+        &exec,
         "AMGmk",
+        harness.variant(),
+        inst.as_mut(),
         &decision,
-        &versions,
-        || Ok("parallel"),
-        || {},
-        || "serial",
+        &pool,
+        Schedule::static_default(),
+        None,
+        "bench.kernel.parallel",
+    )
+    .expect("no cancel token was given");
+    assert_eq!(
+        out.to_bits(),
+        twin.checksum().to_bits(),
+        "stale evidence must not admit parallel"
     );
-    assert_eq!(out, "serial", "stale evidence must not admit parallel");
     assert!(
         matches!(reason, Some(ExecError::TamperDetected { .. })),
         "{reason:?}"
     );
-    assert_eq!(exec.stats().tamper_detections, 1);
+    let s = exec.stats();
+    assert_eq!((s.tamper_detections, s.parallel_runs), (1, 0));
 }

@@ -82,6 +82,9 @@ fn figure17_decision_matrix() {
             AlgorithmLevel::New,
         ] {
             let got = variant_for(k.source(), k.func_name(), level);
+            // The mapper every harness shares (`service::exec::Plan`),
+            // held against this file's own.
+            assert_eq!(subsub_bench::variant_for(k.as_ref(), level), got);
             let want = expected(k.name(), level);
             if got != want {
                 let report = analyze_program(k.source(), level).unwrap();

@@ -19,7 +19,11 @@
 # seconds and pass/fail. The report is flushed even when a step fails,
 # and the failure summary names the failing step. It also carries
 # `net_lines`: lines added minus lines removed under each crate by the
-# change under test (ROADMAP item 4 wants the simplification counted).
+# change under test — and `net_lines_src`, the same without test lines
+# (a crate's `tests/` directory, and each file from its first
+# `#[cfg(test)]` on) — and `options`: the `pub` field count of every
+# `*Config` / `*Budget` struct under crates/, so that option creep shows
+# up per PR the way line creep does.
 #
 # Knobs (environment):
 #   SUBSUB_FUZZ_CASES    scales fuzz campaign volume (default 200-ish;
@@ -46,29 +50,63 @@ elapsed_s() { # elapsed_s T0_NANOS -> seconds with ms precision
 # The change under test is the working tree against HEAD while anything
 # under crates/ is uncommitted (untracked files included), and HEAD
 # against its parent once it is committed. Zeros outside a git checkout.
-net_lines_json() {
-  local base=HEAD crate out=""
-  if git diff --quiet HEAD -- crates 2>/dev/null &&
-     [ -z "$(git ls-files --others --exclude-standard crates 2>/dev/null)" ]; then
-    base=HEAD~1
-  fi
+NET_BASE=HEAD
+if git diff --quiet HEAD -- crates 2>/dev/null &&
+   [ -z "$(git ls-files --others --exclude-standard crates 2>/dev/null)" ]; then
+  NET_BASE=HEAD~1
+fi
+per_crate_json() { # per_crate_json FN -> {"<crate>": $(FN crates/<crate>), ...}
+  local crate out=""
   for crate in crates/*/; do
     crate=${crate%/}
-    local n
-    n=$({ git diff --numstat "$base" -- "$crate" 2>/dev/null
-          git ls-files --others --exclude-standard "$crate" 2>/dev/null |
-            while read -r f; do printf '%s\t0\n' "$(wc -l < "$f")"; done
-        } | awk '{n += $1 - $2} END {print n + 0}')
     [ -n "$out" ] && out+=","
-    out+=$(printf '"%s":%s' "${crate#crates/}" "$n")
+    out+=$(printf '"%s":%s' "${crate#crates/}" "$("$1" "$crate")")
   done
   printf '{%s}' "$out"
 }
-NET_LINES_JSON=$(net_lines_json)
+
+net_lines() { # net_lines CRATE_DIR
+  { git diff --numstat "$NET_BASE" -- "$1" 2>/dev/null
+    git ls-files --others --exclude-standard "$1" 2>/dev/null |
+      while read -r f; do printf '%s\t0\n' "$(wc -l < "$f")"; done
+  } | awk '{n += $1 - $2} END {print n + 0}'
+}
+NET_LINES_JSON=$(per_crate_json net_lines)
+
+# Lines of a file above its first `#[cfg(test)]` (stdin).
+src_lines() { awk '/^#\[cfg\(test\)\]/ {exit} {n++} END {print n + 0}'; }
+
+net_lines_src() { # net_lines_src CRATE_DIR: non-test lines only
+  local n=0 f now was
+  while read -r f; do
+    case "$f" in ""|crates/*/tests/*) continue ;; esac
+    now=0; was=0
+    [ -f "$f" ] && now=$(src_lines < "$f")
+    git cat-file -e "$NET_BASE:$f" 2>/dev/null && was=$(git show "$NET_BASE:$f" | src_lines)
+    n=$((n + now - was))
+  done < <({ git diff --name-only "$NET_BASE" -- "$1" 2>/dev/null
+             git ls-files --others --exclude-standard "$1" 2>/dev/null; } | sort -u)
+  echo "$n"
+}
+NET_LINES_SRC_JSON=$(per_crate_json net_lines_src)
+
+# {"crate::Struct": pub fields} for every `pub struct *Config|*Budget`.
+options_json() {
+  grep -rl --include='*.rs' -E '^pub struct [A-Za-z]*(Config|Budget) \{' crates | sort |
+    while read -r f; do
+      crate=${f#crates/}; crate=${crate%%/*}
+      awk -v crate="$crate" '
+        /^pub struct [A-Za-z]*(Config|Budget) \{/ { name = $3; n = 0; next }
+        name != "" && /^    pub [a-z_0-9]+:/ { n++ }
+        name != "" && /^}/ { printf "\"%s::%s\":%d\n", crate, name, n; name = "" }
+      ' "$f"
+    done | paste -sd, - | sed 's/^/{/; s/$/}/'
+}
+OPTIONS_JSON=$(options_json)
 
 flush_report() { # flush_report pass|fail
-  printf '{"schema":"subsub-ci-report/v1","mode":"%s","result":"%s","total_seconds":%s,"net_lines":%s,"steps":[%s]}\n' \
-    "$MODE" "$1" "$(elapsed_s "$SUITE_T0")" "$NET_LINES_JSON" "$STEPS_JSON" > "$REPORT"
+  printf '{"schema":"subsub-ci-report/v1","mode":"%s","result":"%s","total_seconds":%s,"net_lines":%s,"net_lines_src":%s,"options":%s,"steps":[%s]}\n' \
+    "$MODE" "$1" "$(elapsed_s "$SUITE_T0")" "$NET_LINES_JSON" "$NET_LINES_SRC_JSON" "$OPTIONS_JSON" "$STEPS_JSON" > "$REPORT"
 }
 
 run_step() { # run_step TIER NAME CMD...

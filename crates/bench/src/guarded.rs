@@ -74,7 +74,7 @@ impl GuardedHarness {
 
     /// This kernel's circuit-breaker position.
     pub fn breaker_state(&self) -> BreakerState {
-        self.plan.executor.breaker_state(&self.plan.name)
+        self.plan.executor.breaker_state()
     }
 
     /// Runs one invocation of the kernel under the guards, surviving

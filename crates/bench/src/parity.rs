@@ -186,6 +186,19 @@ fn rows() -> Vec<Row> {
             ..ROW
         },
         Row {
+            name: "half-open trial closes the breaker",
+            // Two runs of attempt + retry fault and open the breaker;
+            // eight more are denied; the eleventh is the trial, and the
+            // fault is gone.
+            fault: Some(Fire {
+                max_fires: 4,
+                ..Fire::always()
+            }),
+            warmups: 10,
+            expect: Some((true, 0)),
+            ..ROW
+        },
+        Row {
             name: "cancelled before the parallel attempt",
             cancelled_before: true,
             ..ROW

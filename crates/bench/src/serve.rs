@@ -123,9 +123,8 @@ pub struct ServeReport {
     pub failures: u64,
     /// In-flight high-water mark across the whole run.
     pub max_inflight: u64,
-    /// Times the service entered serialized degradation.
-    pub degradations: u64,
-    /// Requests executed under serialized mode.
+    /// Requests kept serial by policy (quarantine probes, open
+    /// breakers).
     pub serialized_requests: u64,
     /// Final verdict-cache counters.
     pub cache: ShardStats,
@@ -185,7 +184,7 @@ impl ServeReport {
         format!(
             "{{\n  \"seed\": {},\n  \"cold\": {},\n  \"warm\": {},\n  \"divergences\": {},\n  \
              \"wedged\": {},\n  \"failures\": {},\n  \"max_inflight\": {},\n  \
-             \"degradations\": {},\n  \"serialized_requests\": {},\n  \
+             \"serialized_requests\": {},\n  \
              \"cache\": {{\"hits\": {}, \"warm_hits\": {}, \"coalesced\": {}, \"misses\": {}, \
              \"evictions\": {}, \"entries\": {}}}\n}}",
             self.seed,
@@ -195,7 +194,6 @@ impl ServeReport {
             self.wedged,
             self.failures,
             self.max_inflight,
-            self.degradations,
             self.serialized_requests,
             self.cache.hits,
             self.cache.warm_hits,
@@ -373,7 +371,6 @@ pub fn run_serve_workload(cfg: &ServeConfig) -> (ServeReport, Arc<AnalysisServic
         failures: cold_counters.failures.load(Ordering::Relaxed)
             + warm_counters.failures.load(Ordering::Relaxed),
         max_inflight: stats.max_inflight,
-        degradations: stats.degradations,
         serialized_requests: stats.serialized_requests,
         cache: stats.cache,
     };

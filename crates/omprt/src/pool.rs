@@ -285,21 +285,13 @@ pub struct PoolHealth {
 
 impl PoolHealth {
     /// Total degradation events recorded: everything except the plain
-    /// region count. Monotone, so a consumer polling for "did anything
-    /// go wrong since last time" can diff two snapshots.
+    /// region count. Monotone.
     pub fn degradation_events(&self) -> u64 {
         self.job_panics
             + self.reclaimed_tids
             + self.respawned_workers
             + self.aborted_regions
             + self.deadline_cancels
-    }
-
-    /// Degradation events in `self` that were not yet present in the
-    /// earlier snapshot `prev` (saturating; snapshots are cumulative).
-    pub fn degradation_since(&self, prev: &PoolHealth) -> u64 {
-        self.degradation_events()
-            .saturating_sub(prev.degradation_events())
     }
 }
 

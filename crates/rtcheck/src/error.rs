@@ -3,10 +3,12 @@
 //! Every way a guarded invocation can decline or abandon the parallel
 //! path is one [`ExecError`] variant, so callers (and the chaos harness)
 //! can branch on the *class* of failure instead of grepping reason
-//! strings. The taxonomy also encodes the degradation policy: only
-//! [`ExecError::transient`] failures are worth one bounded retry of the
-//! parallel path; everything else goes straight down the ladder to
-//! serial.
+//! strings. The taxonomy also encodes the degradation policy, in one
+//! table: which reasons are worth one bounded retry of the parallel path
+//! ([`ExecError::transient`]), which count against the kernel's health
+//! word, and how a completion that ended serial for that reason settles
+//! the identity that submitted it. Everything not retried goes straight
+//! down the ladder to serial.
 
 use crate::inspect::MonotoneReq;
 
@@ -71,10 +73,9 @@ pub enum ExecError {
         /// Breaker-admission denials left before a half-open trial.
         remaining: u32,
     },
-    /// The caller is running serial-only and never consulted the guard:
-    /// the service's `Serialized` cooldown after an observed fault, or a
+    /// The caller ran serial-only and never consulted the guard: a
     /// quarantine probe. Says nothing about the kernel or its data — the
-    /// same request may run parallel once the caller has recovered.
+    /// same request may run parallel once the identity is released.
     Serialized,
     /// The invocation's cancel token tripped (the caller's deadline
     /// expired or the waiter abandoned the request) before a result was
@@ -85,35 +86,67 @@ pub enum ExecError {
     Cancelled,
 }
 
+/// How a completion moves the identity that submitted it on a
+/// poison-quarantine ladder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Settle {
+    /// A deterministic result: the identity is in good standing.
+    Clean,
+    /// The identity cost a fault: one strike.
+    Strike,
+    /// Proves nothing about the identity either way.
+    Neutral,
+}
+
 impl ExecError {
-    /// Whether one bounded retry of the faulted operation is worthwhile.
-    /// Faults of the execution machinery (a died worker, an injected
-    /// panic) are transient — the self-healing pool respawns workers, so
-    /// an immediate second attempt can succeed. Everything rooted in the
-    /// *data* (failed check, non-monotone array, tampered version) or in
-    /// policy (open breaker, spent deadline, a serialized caller) is not
-    /// retryable.
+    /// The one row per reason: its class number, then the fault class →
+    /// action table (retried once? counts against the kernel's health?
+    /// how does the identity settle?). Faults of the execution machinery
+    /// (a died worker, an injected panic) are transient — the
+    /// self-healing pool respawns workers, so an immediate second attempt
+    /// can succeed — and, like a spent region deadline, count against the
+    /// kernel and the identity. A run kept serial by an open breaker, or
+    /// cancelled, proves nothing about anyone. Everything rooted in the
+    /// *data*, in the analysis, or in a probe's serial-only run is a
+    /// deterministic result.
+    fn row(&self) -> (u8, bool, bool, Settle) {
+        use Settle::{Clean, Neutral, Strike};
+        match self {
+            ExecError::AnalysisSerial => (1, false, false, Clean),
+            ExecError::CheckFailed { .. } => (2, false, false, Clean),
+            ExecError::CheckUnevaluable { .. } => (3, false, false, Clean),
+            ExecError::NotMonotone { .. } => (4, false, false, Clean),
+            ExecError::InvalidIndexArray { .. } => (5, false, false, Clean),
+            ExecError::TamperDetected { .. } => (6, false, false, Clean),
+            ExecError::ParallelFault { .. } => (7, true, true, Strike),
+            ExecError::Timeout => (8, false, true, Strike),
+            ExecError::BreakerOpen { .. } => (9, false, false, Neutral),
+            ExecError::Cancelled => (10, false, false, Neutral),
+            ExecError::Serialized => (11, false, false, Clean),
+        }
+    }
+
+    /// Whether one bounded retry of the parallel attempt is worthwhile.
     pub fn transient(&self) -> bool {
-        matches!(self, ExecError::ParallelFault { .. })
+        self.row().1
+    }
+
+    /// Whether it counts against the kernel's health word (and in
+    /// `GuardStats::region_faults`).
+    pub fn counts_against_health(&self) -> bool {
+        self.row().2
+    }
+
+    /// How a completion that ended serial for this reason settles.
+    pub fn settle(&self) -> Settle {
+        self.row().3
     }
 
     /// Small stable numeric class for telemetry (`guard_verdict` event
     /// payloads): 0 is reserved for "parallel admitted", so every
     /// variant maps to a nonzero code.
     pub fn reason_class(&self) -> u8 {
-        match self {
-            ExecError::AnalysisSerial => 1,
-            ExecError::CheckFailed { .. } => 2,
-            ExecError::CheckUnevaluable { .. } => 3,
-            ExecError::NotMonotone { .. } => 4,
-            ExecError::InvalidIndexArray { .. } => 5,
-            ExecError::TamperDetected { .. } => 6,
-            ExecError::ParallelFault { .. } => 7,
-            ExecError::Timeout => 8,
-            ExecError::BreakerOpen { .. } => 9,
-            ExecError::Cancelled => 10,
-            ExecError::Serialized => 11,
-        }
+        self.row().0
     }
 }
 
@@ -161,7 +194,7 @@ impl std::fmt::Display for ExecError {
                 write!(f, "invocation cancelled before a result was produced")
             }
             ExecError::Serialized => {
-                write!(f, "caller is degraded and running serial-only")
+                write!(f, "quarantine probe: kept serial-only")
             }
         }
     }
@@ -174,11 +207,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn only_machinery_faults_are_transient() {
-        assert!(ExecError::ParallelFault {
-            detail: "worker died".into()
+    fn the_policy_table_row_by_row() {
+        let row = |e: &ExecError| (e.transient(), e.counts_against_health(), e.settle());
+        let fault = ExecError::ParallelFault {
+            detail: "worker died".into(),
+        };
+        assert_eq!(row(&fault), (true, true, Settle::Strike));
+        assert_eq!(row(&ExecError::Timeout), (false, true, Settle::Strike));
+        for e in [
+            ExecError::BreakerOpen { remaining: 5 },
+            ExecError::Cancelled,
+        ] {
+            assert_eq!(row(&e), (false, false, Settle::Neutral), "{e}");
         }
-        .transient());
         for e in [
             ExecError::AnalysisSerial,
             ExecError::CheckFailed { detail: "c".into() },
@@ -193,12 +234,9 @@ mod tests {
                 detail: "entry 3 out of domain".into(),
             },
             ExecError::TamperDetected { array: "b".into() },
-            ExecError::Timeout,
-            ExecError::BreakerOpen { remaining: 5 },
-            ExecError::Cancelled,
             ExecError::Serialized,
         ] {
-            assert!(!e.transient(), "{e}");
+            assert_eq!(row(&e), (false, false, Settle::Clean), "{e}");
         }
     }
 

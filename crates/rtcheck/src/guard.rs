@@ -3,8 +3,8 @@
 //! machinery itself faults.
 //!
 //! A [`GuardedExecutor`] bundles the compiled scalar check emitted by the
-//! dependence test with the inspector cache and a per-kernel
-//! [`CircuitBreaker`]. Per invocation it walks a fixed degradation
+//! dependence test with the inspector cache and the kernel's [`Health`]
+//! word (its circuit breaker). Per invocation it walks a fixed degradation
 //! ladder, in two phases: a decision (rungs 1–3; one walk behind
 //! [`GuardedExecutor::decide_recoverable`],
 //! [`GuardedExecutor::decide_ingested`] and
@@ -34,18 +34,18 @@
 //! memoization worked, and that the breaker tripped when it should.
 
 use crate::bindings::Bindings;
-use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::cache::{CacheStats, InspectorCache};
 use crate::compile::{CompileError, CompiledCheck};
 use crate::error::ExecError;
 use crate::expr::CheckExpr;
+use crate::health::{BreakerState, Health};
 use crate::inspect::{IndexArrayView, MonotoneReq, MonotoneVerdict};
 use crate::validate::ValidatedIndexArray;
 use std::sync::atomic::{AtomicU64, Ordering};
 use subsub_failpoint::{self as failpoint, Action};
 use subsub_omprt::{CancelToken, ThreadPool};
 use subsub_telemetry as telemetry;
-use subsub_telemetry::{verdict_code, EventKind, Phase};
+use subsub_telemetry::{breaker_code, verdict_code, EventKind, Phase};
 
 /// Which variant a guarded invocation ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,6 +77,16 @@ fn record_verdict(kernel: &str, verdict: &GuardVerdict) {
             verdict.path == GuardPath::Parallel,
             verdict.reason.as_ref().map_or(0, ExecError::reason_class),
         ),
+    );
+}
+
+/// Emits a `breaker_transition` flight-recorder instant for `kernel`.
+fn record_transition(kernel: &str, code: u64) {
+    telemetry::instant_labeled(
+        EventKind::BreakerTransition,
+        Phase::GuardDecide,
+        kernel,
+        code,
     );
 }
 
@@ -113,9 +123,9 @@ pub struct Decision {
 impl Decision {
     /// A serial decision taken off the ladder, by a caller that knows no
     /// runtime evidence can change it: the analysis kept the loop serial
-    /// ([`ExecError::AnalysisSerial`]), or the service is running
-    /// serial-only ([`ExecError::Serialized`]). No rung is consulted — in
-    /// particular the breaker's cooldown does not tick — and the verdict
+    /// ([`ExecError::AnalysisSerial`]), or the run is a quarantine probe
+    /// ([`ExecError::Serialized`]). No rung is consulted — in particular
+    /// the breaker's cooldown does not tick — and the verdict
     /// is recorded like any other; [`GuardedExecutor::execute_admitted`]
     /// then runs, counts and cancel-checks it as it does every serial
     /// decision.
@@ -170,7 +180,7 @@ pub struct GuardStats {
 pub struct GuardedExecutor {
     check: Option<CompiledCheck>,
     cache: InspectorCache,
-    breaker: CircuitBreaker,
+    health: Health,
     parallel_runs: AtomicU64,
     serial_fallbacks: AtomicU64,
     check_failures: AtomicU64,
@@ -194,7 +204,7 @@ impl GuardedExecutor {
         Ok(GuardedExecutor {
             check: compiled,
             cache: InspectorCache::new(),
-            breaker: CircuitBreaker::default(),
+            health: Health::default(),
             parallel_runs: AtomicU64::new(0),
             serial_fallbacks: AtomicU64::new(0),
             check_failures: AtomicU64::new(0),
@@ -210,16 +220,10 @@ impl GuardedExecutor {
         })
     }
 
-    /// Replaces the default circuit breaker (threshold 3, cooldown 8)
-    /// with a custom-tuned one.
-    pub fn with_breaker(mut self, breaker: CircuitBreaker) -> GuardedExecutor {
-        self.breaker = breaker;
-        self
-    }
-
-    /// The per-kernel circuit breaker position (for harness assertions).
-    pub fn breaker_state(&self, kernel: &str) -> BreakerState {
-        self.breaker.state(kernel)
+    /// The kernel's circuit-breaker position: anything but `Closed`
+    /// means its invocations are being kept serial.
+    pub fn breaker_state(&self) -> BreakerState {
+        self.health.state()
     }
 
     /// Phase 1 over raw [`IndexArrayView`]s: each array's verdict comes
@@ -350,9 +354,12 @@ impl GuardedExecutor {
         mut verdict_of: impl FnMut(usize) -> Result<MonotoneVerdict, ExecError>,
         inspected: &mut Vec<(String, u64)>,
     ) -> Result<(), ExecError> {
-        self.breaker
-            .admit(kernel)
-            .map_err(|remaining| ExecError::BreakerOpen { remaining })?;
+        self.health.admit().map_err(|remaining| {
+            if remaining == 0 {
+                record_transition(kernel, breaker_code::HALF_OPEN);
+            }
+            ExecError::BreakerOpen { remaining }
+        })?;
         verify()?;
         self.eval_check(bindings)?;
         inspected.reserve(arrays.len());
@@ -435,7 +442,11 @@ impl GuardedExecutor {
         let mut attempt = || match parallel() {
             Ok(out) if !cancelled() => {
                 self.parallel_runs.fetch_add(1, Ordering::Relaxed);
-                self.breaker.record_success(kernel);
+                // Only a position change is a transition worth recording
+                // (every clean parallel run lands here).
+                if self.health.record_success() {
+                    record_transition(kernel, breaker_code::CLOSED);
+                }
                 Ok(out)
             }
             Ok(_) => Err(ExecError::Cancelled),
@@ -447,54 +458,49 @@ impl GuardedExecutor {
             Action::Error | Action::Corrupt => ExecError::ParallelFault {
                 detail: "injected dispatch fault".into(),
             },
-            Action::Proceed => {
-                if cancelled() {
-                    return Err(abort());
-                }
-                match attempt() {
-                    Ok(out) => return Ok((out, None)),
-                    Err(fault) => fault,
-                }
-            }
+            Action::Proceed if cancelled() => return Err(abort()),
+            Action::Proceed => match attempt() {
+                Ok(out) => return Ok((out, None)),
+                Err(fault) => fault,
+            },
         };
-        if fault == ExecError::Cancelled || cancelled() {
+        // Every fault is followed by `recover` — before the abort, the
+        // retry and the serial rescue alike — and is read against the
+        // one table in `error.rs`.
+        let mut retried = false;
+        loop {
             recover();
-            return Err(abort());
-        }
-        self.note_fault(kernel);
-        if fault.transient() {
+            if fault == ExecError::Cancelled || cancelled() {
+                return Err(abort());
+            }
+            if fault.counts_against_health() {
+                self.note_fault(kernel);
+            }
+            if retried || !fault.transient() {
+                break;
+            }
+            retried = true;
             self.retries.fetch_add(1, Ordering::Relaxed);
-            recover();
             match attempt() {
                 Ok(out) => {
                     self.retry_successes.fetch_add(1, Ordering::Relaxed);
                     return Ok((out, None));
                 }
-                Err(ExecError::Cancelled) => {
-                    recover();
-                    return Err(abort());
-                }
-                Err(second) => {
-                    self.note_fault(kernel);
-                    fault = second;
-                }
+                Err(second) => fault = second,
             }
         }
-        // Final rung: restore state and finish serially. The serial
+        // Final rung: finish serially on the restored state. The serial
         // variant is the semantics-defining golden path, so the output
         // is bit-identical to a never-parallelized run.
-        recover();
-        if cancelled() {
-            return Err(abort());
-        }
         self.serial_fallbacks.fetch_add(1, Ordering::Relaxed);
         Ok((serial(), Some(fault)))
     }
 
     fn note_fault(&self, kernel: &str) {
         self.region_faults.fetch_add(1, Ordering::Relaxed);
-        if self.breaker.record_fault(kernel) {
+        if self.health.record_fault() {
             self.breaker_trips.fetch_add(1, Ordering::Relaxed);
+            record_transition(kernel, breaker_code::OPEN);
         }
     }
 
@@ -934,22 +940,23 @@ mod tests {
 
     #[test]
     fn breaker_pins_to_serial_and_readmits_after_cooldown() {
-        let e = GuardedExecutor::new(None)
-            .unwrap()
-            .with_breaker(CircuitBreaker::new(2, 3));
+        let e = GuardedExecutor::new(None).unwrap();
         let faulty = || {
             Err::<&str, _>(ExecError::ParallelFault {
                 detail: "boom".into(),
             })
         };
         // One faulting invocation = first attempt + failed retry = 2
-        // consecutive faults = the threshold: the breaker opens.
-        let d = e.decide_recoverable("k", &Bindings::new(), &[], None);
-        let _ = e.execute_admitted("k", &d, &[], None, faulty, || {}, || "ser");
-        assert_eq!(e.breaker_state("k"), BreakerState::Open { remaining: 3 });
+        // consecutive faults; the second invocation's first attempt is
+        // the third, and the breaker opens.
+        for _ in 0..2 {
+            let d = e.decide_recoverable("k", &Bindings::new(), &[], None);
+            let _ = e.execute_admitted("k", &d, &[], None, faulty, || {}, || "ser");
+        }
+        assert_eq!(e.breaker_state(), BreakerState::Open { remaining: 8 });
         assert_eq!(e.stats().breaker_trips, 1);
-        // Cooldown: three denied admissions, classified as BreakerOpen.
-        for _ in 0..3 {
+        // Cooldown: eight denied admissions, classified as BreakerOpen.
+        for _ in 0..8 {
             let d = e.decide_recoverable("k", &Bindings::new(), &[], None);
             assert!(matches!(
                 d.verdict.reason,
@@ -960,7 +967,7 @@ mod tests {
                 .unwrap();
             assert_eq!(out, "ser", "pinned to serial while open");
         }
-        assert_eq!(e.stats().breaker_short_circuits, 3);
+        assert_eq!(e.stats().breaker_short_circuits, 8);
         // Cooldown spent: the half-open trial is admitted, succeeds, and
         // the breaker closes again.
         let d = e.decide_recoverable("k", &Bindings::new(), &[], None);
@@ -969,6 +976,6 @@ mod tests {
             .execute_admitted("k", &d, &[], None, || Ok("par"), || {}, || "ser")
             .unwrap();
         assert_eq!((out, reason), ("par", None));
-        assert_eq!(e.breaker_state("k"), BreakerState::Closed { faults: 0 });
+        assert_eq!(e.breaker_state(), BreakerState::Closed { faults: 0 });
     }
 }

@@ -28,10 +28,10 @@
 //!   `execute_admitted` runs the [`Decision`] — tamper gate, parallel
 //!   attempt, one retry, serial rescue, cancel-checked at every rung —
 //!   recording pass/fail/cache-hit counters for observability.
-//! * [`ExecError`] + [`CircuitBreaker`] — the degradation policy: every
-//!   fallback is a classified error, transient machinery faults get one
-//!   bounded retry, and a kernel whose parallel path keeps faulting is
-//!   pinned to serial for a cooldown before a half-open re-trial.
+//! * [`ExecError`] + [`Health`] — the degradation policy: every fallback
+//!   is a classified error, transient machinery faults get one bounded
+//!   retry, and a kernel whose parallel path keeps faulting is pinned to
+//!   serial for a cooldown before a half-open re-trial.
 //! * [`ValidatedIndexArray`] — the ingestion trust boundary: the one
 //!   sanctioned path from raw subscript data into inspection and
 //!   dispatch, validating every entry against the target array's domain
@@ -40,23 +40,23 @@
 
 pub mod bindings;
 pub mod block;
-pub mod breaker;
 pub mod cache;
 pub mod compile;
 pub mod error;
 pub mod expr;
 pub mod guard;
+pub mod health;
 pub mod inspect;
 pub mod validate;
 
 pub use bindings::Bindings;
 pub use block::{BlockSummaries, BlockSummary, BLOCK_LEN, FINGERPRINT_VERSION};
-pub use breaker::{BreakerState, CircuitBreaker};
 pub use cache::{CacheStats, InspectorCache, VerdictCache, MEMO_CAPACITY};
 pub use compile::{CompileError, CompiledCheck, EvalError};
-pub use error::ExecError;
+pub use error::{ExecError, Settle};
 pub use expr::{parse_check, CheckExpr, CmpOp, ParseError};
 pub use guard::{Decision, GuardPath, GuardStats, GuardVerdict, GuardedExecutor};
+pub use health::{BreakerState, Health};
 pub use inspect::{
     inspect_block_monotone, inspect_monotone, inspect_serial, scan_pairs, try_inspect_monotone,
     IndexArrayView, MonotoneReq, MonotoneVerdict, PairScan, PAR_THRESHOLD,

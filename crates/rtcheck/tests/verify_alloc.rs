@@ -1,10 +1,12 @@
-//! `verify()` reads the data once and builds nothing: no allocation on
-//! the passing path, for an array shorter than one lane row (every
-//! `test` dataset) as for a multi-block one.
+//! What a healthy guarded invocation must not pay for. `verify()` reads
+//! the data once and builds nothing: no allocation on the passing path,
+//! for an array shorter than one lane row (every `test` dataset) as for
+//! a multi-block one. The kernel's health word is consulted on the way
+//! in and on the way out, and allocates nothing either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use subsub_rtcheck::{Provenance, ValidatedIndexArray};
+use subsub_rtcheck::{BreakerState, Health, Provenance, ValidatedIndexArray};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -48,4 +50,17 @@ fn verify_and_checksum_allocate_nothing() {
         assert!(verified.is_ok());
         assert_eq!(after - before, 0, "length {n} (checksum {checksum:#x})");
     }
+}
+
+#[test]
+fn a_closed_health_word_allocates_nothing() {
+    let health = Health::default();
+    let before = ALLOCATIONS.with(Cell::get);
+    for _ in 0..1_000 {
+        assert_eq!(health.admit(), Ok(()));
+        assert!(!health.record_success(), "nothing to clear");
+    }
+    let after = ALLOCATIONS.with(Cell::get);
+    assert_eq!(after - before, 0);
+    assert_eq!(health.state(), BreakerState::Closed { faults: 0 });
 }

@@ -32,8 +32,8 @@ use subsub_core::{analyze_program, AlgorithmLevel, CheckExpr};
 use subsub_kernels::{dispatch, kernel_by_name, run_serial_on, Kernel, KernelInstance, Variant};
 use subsub_omprt::{CancelToken, Schedule, ThreadPool};
 use subsub_rtcheck::{
-    Bindings, Decision, ExecError, GuardPath, GuardStats, GuardedExecutor, IndexArrayView,
-    Provenance, ValidatedIndexArray,
+    Bindings, BreakerState, Decision, ExecError, GuardPath, GuardStats, GuardedExecutor,
+    IndexArrayView, Provenance, ValidatedIndexArray,
 };
 
 use crate::request::{Outcome, ServiceError};
@@ -59,7 +59,7 @@ struct PreparedInstance {
 
 /// One kernel's analysis verdict, bound to the executor that guards it.
 pub struct Plan {
-    /// The kernel's name: the breaker key and the telemetry label.
+    /// The kernel's name: the telemetry label.
     pub name: String,
     /// The variant the analysis selected for the kernel's compute nest
     /// (the last top-level nest — fills precede it under the paper's
@@ -67,7 +67,8 @@ pub struct Plan {
     pub variant: Variant,
     /// The structured check guarding that decision, if any.
     pub check: Option<CheckExpr>,
-    /// `check`, compiled, with the kernel's memo, breaker and counters.
+    /// `check`, compiled, with the kernel's memo, health word and
+    /// counters.
     pub executor: GuardedExecutor,
 }
 
@@ -113,8 +114,8 @@ impl Plan {
     ///
     /// The decision is taken off the ladder when no runtime evidence can
     /// change it — the analysis kept the loop serial
-    /// ([`ExecError::AnalysisSerial`]), or the caller is running
-    /// serial-only (`serialized`: [`ExecError::Serialized`]) — and by
+    /// ([`ExecError::AnalysisSerial`]), or the run is a quarantine probe
+    /// (`serialized`: [`ExecError::Serialized`]) — and by
     /// `decide` otherwise, which is handed the instance's scalar bindings
     /// and index arrays and picks the `GuardedExecutor::decide_*` front
     /// (that is: where an array's verdict comes from). Either way it runs
@@ -218,6 +219,15 @@ impl KernelEntry {
         self.plan.executor.stats()
     }
 
+    /// Whether the kernel's breaker is denying (or trialling) the
+    /// parallel path.
+    pub fn kept_serial(&self) -> bool {
+        !matches!(
+            self.plan.executor.breaker_state(),
+            BreakerState::Closed { .. }
+        )
+    }
+
     /// Puts a caller-prepared instance of this entry's (kernel, dataset)
     /// on top of the pool: the next execution checks it out.
     pub fn adopt(&self, inst: Box<dyn KernelInstance>) {
@@ -287,8 +297,8 @@ impl KernelEntry {
     }
 
     /// One guarded execution through the service's sharded verdict
-    /// cache. `serialized` forces the serial path (degraded-mode
-    /// admission, quarantine probes); `cancel` (the per-job token) is
+    /// cache. `serialized` forces the serial path (a quarantine
+    /// probe); `cancel` (the per-job token) is
     /// installed as the ambient token around every kernel region and
     /// checked at each rung boundary — a tripped token abandons the
     /// invocation with [`ServiceError::Canceled`], discarding partial
@@ -302,7 +312,7 @@ impl KernelEntry {
     ) -> Result<ExecReport, ServiceError> {
         let mut p = self.checkout();
         let report = self.execute_prepared(&mut p, cache, pool, serialized, cancel);
-        // Serialized mode exists because the pool is suspect: its
+        // A probe's identity is suspected of faulting workers: its
         // epilogue opens no region either.
         self.restore(p, (!serialized).then_some(pool));
         report
@@ -429,6 +439,12 @@ impl KernelRegistry {
         let mut entries = lock(&self.entries);
         Ok(Arc::clone(entries.entry(key).or_insert(built)))
     }
+
+    /// Whether any registered kernel is being kept serial by its breaker
+    /// (what the `Degraded` admission shed asks).
+    pub fn any_kept_serial(&self) -> bool {
+        lock(&self.entries).values().any(|e| e.kept_serial())
+    }
 }
 
 #[cfg(test)]
@@ -469,7 +485,7 @@ mod tests {
         ));
     }
 
-    /// Serialized mode exists because the pool is suspect: neither the
+    /// A probe's identity is suspected of faulting workers: neither the
     /// kernel nor its epilogue may open a region, even on an array the
     /// pooled forms would split (`n256k` is 8 × `PAR_MIN`).
     #[test]
@@ -491,7 +507,7 @@ mod tests {
         assert_eq!(
             (path, degraded),
             (GuardPath::Serial, Some(ExecError::Serialized)),
-            "a run the service kept serial says so"
+            "a run the caller kept serial says so"
         );
         assert!(r.cache.is_none(), "serialized mode skips inspection");
         // The pooled golden opens regions, and agrees to the bit.

@@ -19,11 +19,11 @@
 //! any corruption, and never trusted for dispatch without the
 //! executor's write-version tamper gate re-validating the live arrays.
 //!
-//! Admission control rides the existing resilience machinery: pool
-//! health deltas and breaker-open observations flip the service into a
-//! serialized cooldown, a per-client fairness cap keeps one heavy
-//! caller from starving the queue, and every accept/shed/hit/miss/evict
-//! is telemetry-instrumented.
+//! Admission control rides the existing resilience machinery: while a
+//! kernel's breaker is keeping it serial a half-full queue sheds, a
+//! per-client fairness cap keeps one heavy caller from starving the
+//! queue, and every accept/shed/hit/miss/evict is
+//! telemetry-instrumented.
 //!
 //! The request lifecycle is hardened end to end (DESIGN.md §8): every
 //! request carries an optional deadline enforced server-side through

@@ -1,13 +1,13 @@
 //! Poison quarantine: strike accounting and probed re-admission for
 //! request identities that keep faulting workers.
 //!
-//! The PR 3 `CircuitBreaker` protects the pool from a *kernel* whose
-//! parallel variant keeps faulting. That is the wrong granularity for a
-//! multi-tenant front door: one hostile *input* (a source text that
-//! panics the front end, a dataset that trips injected faults on every
-//! run) can be resubmitted forever, and each attempt costs a worker a
-//! `catch_unwind`, a degradation-mode flip, and a serialized cooldown
-//! that punishes every other caller.
+//! A kernel's health word (`subsub_rtcheck::Health`) protects the pool
+//! from a *kernel* whose parallel variant keeps faulting. That is the
+//! wrong granularity for a multi-tenant front door: one hostile *input*
+//! (a source text that panics the front end, a dataset that trips
+//! injected faults on every run) can be resubmitted forever, and each
+//! attempt costs a worker a `catch_unwind`, a reset and a serial rerun,
+//! and keeps that kernel serial for every other caller.
 //!
 //! The quarantine keys on the request's *poison key* — a content
 //! fingerprint of the payload ([`crate::Payload::poison_key`]) — and

@@ -103,7 +103,7 @@ pub struct Request {
     /// Lifetime budget, measured from admission. A request still
     /// unfinished when the budget runs out is cancelled at the next
     /// cooperative boundary and answered [`ServiceError::Expired`].
-    /// `None` defers to [`crate::ServiceConfig::default_deadline`].
+    /// `None`: the request never expires.
     pub deadline: Option<Duration>,
 }
 
@@ -131,7 +131,8 @@ pub enum ShedReason {
     QueueFull,
     /// The caller already has its fair share of in-flight requests.
     FairnessCap,
-    /// The service is degraded and shedding parallel work.
+    /// Some kernel is being kept serial by its breaker and the queue is
+    /// at half capacity.
     Degraded,
     /// The service is shutting down.
     Shutdown,
@@ -258,7 +259,9 @@ pub struct RequestTelemetry {
     pub service: Duration,
     /// How the verdict-cache lookup was answered, when one happened.
     pub cache: Option<Lookup>,
-    /// True when the request ran under degraded (serialized) mode.
+    /// True when the request was kept serial by policy rather than by
+    /// its data: a quarantine probe, or an `Execute` its kernel's open
+    /// breaker denied.
     pub serialized: bool,
 }
 

@@ -8,9 +8,8 @@
 //! shutdown → queue bound → per-client fairness cap → poison
 //! quarantine → degradation shed — and either returns a [`ShedReason`]
 //! immediately or enqueues the job and hands back a [`Ticket`]. A
-//! worker dequeues, stamps the queue wait, consults the degradation
-//! mode (requests admitted while the service is `Serialized` run
-//! serial-only), executes the payload with the job's cancel token
+//! worker dequeues, stamps the queue wait, executes the payload (a
+//! quarantine probe serial-only) with the job's cancel token
 //! installed as the ambient token, and fulfills the ticket with a
 //! [`Response`] carrying per-request telemetry. Kernel executions flow
 //! through [`KernelRegistry`] and the [`ShardedVerdictCache`]; every
@@ -37,7 +36,8 @@
 //!
 //! Every [`crate::Request`] may carry a deadline; the absolute doom
 //! instant is stamped at admission. A dedicated *janitor* thread ticks
-//! every [`ServiceConfig::janitor_tick`]: it trips the cancel token of
+//! every 2 ms (the bound on how stale a deadline trip or queued-job
+//! reap can be): it trips the cancel token of
 //! any running job past its deadline (the ambient-token plumbing stops
 //! the job's parallel regions at the next cooperative boundary), reaps
 //! doomed jobs still in the queue (typed response, fairness slot
@@ -45,22 +45,24 @@
 //! timed-out wait) additionally reaps synchronously, so a saturated
 //! queue of abandoned tickets frees its slots without waiting a tick.
 //!
-//! ## Degradation ladder
+//! ## Degradation
 //!
-//! The service watches [`PoolHealth`] deltas (worker deaths, reclaimed
-//! tids, aborted regions) and guarded-execution outcomes (breaker-open
-//! denials, parallel faults). Any observation flips the mode to
-//! `Serialized { remaining }`: the next `remaining` admitted kernel
-//! requests run the serial golden path only — no inspection, no
-//! parallel dispatch, and an outcome that says so
-//! (`degraded: Some(ExecError::Serialized)`) — giving the pool's
-//! self-healing watchdog room to respawn workers without a stampede of
-//! faulting regions. While
-//! serialized, a queue at half capacity sheds new work as `Degraded`
-//! instead of letting latency balloon. The cooldown spent, the mode
-//! snaps back to `Normal`. Identities that keep *causing* faults are
-//! handled one rung up by the [`Quarantine`] ladder, so one poison
-//! input cannot re-trigger the cooldown forever.
+//! The service keeps no degradation state of its own. A kernel whose
+//! parallel path keeps faulting is kept serial by *its own* health word
+//! (`subsub_rtcheck::Health`, inside the kernel's `GuardedExecutor`):
+//! three consecutive faults open it, its next eight `Execute`s are
+//! denied up front and say so (`degraded: Some(ExecError::BreakerOpen)`,
+//! counted in [`ServiceStats::serialized_requests`]), then a trial
+//! decides. Other kernels run parallel throughout. No cooldown follows a
+//! worker death either: the pool's `ensure_workers` respawns
+//! synchronously after the join that saw it, so the next region already
+//! has its team. What the service adds is admission: while any
+//! registered kernel's health is not closed, a queue at half capacity
+//! sheds new work as `Degraded` instead of letting latency balloon
+//! behind serial runs. Identities that keep *causing* faults are handled
+//! by the [`Quarantine`] ladder; which completions strike, clear or
+//! leave an identity alone is one table, `ExecError::settle`
+//! (DESIGN.md §5c).
 
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
@@ -71,8 +73,8 @@ use subsub_cfront::ParseBudget;
 use subsub_core::{analyze_lowered, analyze_program_with, AlgorithmLevel, AnalyzeError};
 use subsub_failpoint::{self as failpoint, Action};
 use subsub_omprt::cancel::with_ambient_cancel;
-use subsub_omprt::{PoolHealth, ThreadPool};
-use subsub_rtcheck::ExecError;
+use subsub_omprt::ThreadPool;
+use subsub_rtcheck::{ExecError, Settle};
 use subsub_telemetry as telemetry;
 use subsub_telemetry::{EventKind, Phase, SpanGuard};
 
@@ -91,6 +93,13 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Shards of the verdict cache, and the capacity bound of each.
+const SHARDS: usize = 8;
+const SHARD_CAPACITY: usize = 256;
+/// Janitor scan period: the bound on how stale a deadline trip or
+/// queued-job reap can be.
+const JANITOR_TICK: Duration = Duration::from_millis(2);
+
 /// Tunables for one [`AnalysisService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -101,24 +110,12 @@ pub struct ServiceConfig {
     /// Max in-flight (queued + executing) requests per client id;
     /// submissions beyond it shed `FairnessCap`.
     pub fairness_cap: usize,
-    /// Shards of the verdict cache.
-    pub shards: usize,
-    /// Capacity bound of each shard.
-    pub shard_capacity: usize,
     /// Analysis level for kernel requests.
     pub level: AlgorithmLevel,
     /// Threads in the shared omprt pool.
     pub pool_threads: usize,
-    /// Kernel requests to serialize after observing degradation.
-    pub serialized_cooldown: u64,
-    /// Deadline applied to requests that carry none (`None` = requests
-    /// without a deadline never expire).
-    pub default_deadline: Option<Duration>,
     /// Poison-quarantine ladder tunables.
     pub quarantine: QuarantineConfig,
-    /// Janitor scan period: the bound on how stale a deadline trip or
-    /// queued-job reap can be.
-    pub janitor_tick: Duration,
     /// Snapshot persistence directory (`None` = in-memory only).
     pub snapshot_dir: Option<PathBuf>,
     /// Autosave once this many new inspections (cache misses) have
@@ -137,14 +134,9 @@ impl Default for ServiceConfig {
             workers: 4,
             queue_capacity: 64,
             fairness_cap: 8,
-            shards: 8,
-            shard_capacity: 256,
             level: AlgorithmLevel::New,
             pool_threads: 3,
-            serialized_cooldown: 16,
-            default_deadline: None,
             quarantine: QuarantineConfig::default(),
-            janitor_tick: Duration::from_millis(2),
             snapshot_dir: None,
             autosave_dirty: 64,
             parse_budget: ParseBudget::DEFAULT,
@@ -164,10 +156,9 @@ pub struct ServiceStats {
     pub shed: [u64; NUM_SHED_REASONS],
     /// High-water mark of concurrently in-flight requests.
     pub max_inflight: u64,
-    /// Requests executed under serialized (degraded) mode.
+    /// Requests kept serial by policy: quarantine probes, and
+    /// `Execute`s denied by their kernel's open breaker.
     pub serialized_requests: u64,
-    /// Times the mode flipped Normal → Serialized.
-    pub degradations: u64,
     /// Requests answered [`ServiceError::Expired`].
     pub expired: u64,
     /// Requests answered [`ServiceError::Abandoned`].
@@ -294,25 +285,12 @@ struct Job {
     queue_span: Option<SpanGuard>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Normal,
-    Serialized { remaining: u64 },
-}
-
 struct QueueState {
     jobs: VecDeque<Job>,
     /// In-flight (queued + executing) per client id.
     per_client: HashMap<String, usize>,
     inflight: u64,
     shutdown: bool,
-}
-
-/// How a settled (non-doomed) completion moves the quarantine ladder.
-enum Settle {
-    Clean,
-    Strike,
-    Neutral,
 }
 
 struct Inner {
@@ -322,8 +300,6 @@ struct Inner {
     cache: ShardedVerdictCache,
     registry: KernelRegistry,
     pool: Arc<ThreadPool>,
-    mode: Mutex<Mode>,
-    health_baseline: Mutex<PoolHealth>,
     running: RunningSet,
     quarantine: Quarantine,
     store: Option<SnapshotStore>,
@@ -333,7 +309,6 @@ struct Inner {
     shed: [AtomicU64; NUM_SHED_REASONS],
     max_inflight: AtomicU64,
     serialized_requests: AtomicU64,
-    degradations: AtomicU64,
     expired: AtomicU64,
     abandoned: AtomicU64,
     reaped_queued: AtomicU64,
@@ -425,51 +400,7 @@ impl Inner {
         }
     }
 
-    /// Enters serialized mode (or extends an active cooldown).
-    fn degrade(&self) {
-        let mut mode = lock(&self.mode);
-        if *mode == Mode::Normal {
-            self.degradations.fetch_add(1, Ordering::Relaxed);
-        }
-        *mode = Mode::Serialized {
-            remaining: self.cfg.serialized_cooldown,
-        };
-    }
-
-    /// Consumes one serialized-mode token; returns whether this request
-    /// must run serial-only.
-    fn take_mode(&self) -> bool {
-        let mut mode = lock(&self.mode);
-        match *mode {
-            Mode::Normal => false,
-            Mode::Serialized { remaining } => {
-                *mode = if remaining <= 1 {
-                    Mode::Normal
-                } else {
-                    Mode::Serialized {
-                        remaining: remaining - 1,
-                    }
-                };
-                true
-            }
-        }
-    }
-
-    /// Polls pool health; any degradation delta since the last poll
-    /// flips the mode.
-    fn observe_health(&self) {
-        let health = self.pool.health();
-        let mut baseline = lock(&self.health_baseline);
-        if health.degradation_since(&baseline) > 0 {
-            drop(baseline);
-            self.degrade();
-            *lock(&self.health_baseline) = health;
-        } else {
-            *baseline = health;
-        }
-    }
-
-    fn execute_payload(&self, job: &Job, serialized: bool) -> ExecOutcome {
+    fn execute_payload(&self, job: &Job) -> ExecOutcome {
         // Chaos site: a worker faulting at dispatch — before the payload
         // machinery runs. Panic arms land in the worker's catch_unwind
         // and surface as a classified Failed response.
@@ -513,53 +444,35 @@ impl Inner {
                 result: Ok(Outcome::Analyzed(analyze_lowered(funcs, *level))),
                 cache: None,
             },
-            Payload::Execute { kernel, dataset } => {
-                match self
-                    .registry
-                    .entry(kernel, dataset)
-                    .and_then(|e| e.execute(&self.cache, &self.pool, serialized, cancel))
-                {
-                    Ok(report) => {
-                        // Guarded outcomes that fell back for fault-like
-                        // reasons feed the degradation ladder.
-                        if let Outcome::Executed {
-                            degraded: Some(reason),
-                            ..
-                        } = &report.outcome
-                        {
-                            if matches!(
-                                reason,
-                                ExecError::ParallelFault { .. }
-                                    | ExecError::Timeout
-                                    | ExecError::BreakerOpen { .. }
-                            ) {
-                                self.degrade();
-                            }
-                        }
-                        ExecOutcome {
-                            result: Ok(report.outcome),
-                            cache: report.cache,
-                        }
-                    }
-                    Err(e) => ExecOutcome {
-                        result: Err(e),
-                        cache: None,
-                    },
-                }
-            }
+            // A quarantine probe is serial by construction.
+            Payload::Execute { kernel, dataset } => match self
+                .registry
+                .entry(kernel, dataset)
+                .and_then(|e| e.execute(&self.cache, &self.pool, job.probe, cancel))
+            {
+                Ok(report) => ExecOutcome {
+                    result: Ok(report.outcome),
+                    cache: report.cache,
+                },
+                Err(e) => ExecOutcome {
+                    result: Err(e),
+                    cache: None,
+                },
+            },
         }
     }
 
-    /// How this completion moves the quarantine ladder. Worker-faulting
-    /// completions strike; deterministic results (including rejections,
-    /// which cost nothing parallel) are clean; doomed/cancelled runs
-    /// prove nothing.
+    /// How a settled (non-doomed) completion moves the quarantine
+    /// ladder. A run that ended serial settles by its reason's row of
+    /// `ExecError::settle`; beyond that table, terminal failures strike,
+    /// deterministic results (including rejections, which cost nothing
+    /// parallel) are clean, and cancelled runs prove nothing.
     fn classify_settle(result: &Result<Outcome, ServiceError>) -> Settle {
         match result {
             Ok(Outcome::Executed {
-                degraded: Some(ExecError::ParallelFault { .. } | ExecError::Timeout),
+                degraded: Some(reason),
                 ..
-            }) => Settle::Strike,
+            }) => reason.settle(),
             Ok(_) => Settle::Clean,
             Err(ServiceError::Failed(_)) => Settle::Strike,
             Err(ServiceError::Rejected { .. } | ServiceError::UnknownKernel { .. }) => {
@@ -615,30 +528,32 @@ impl Inner {
             let started = Instant::now();
             let _service_span =
                 telemetry::span_labeled(Phase::Service, job.request.payload.label());
-            self.observe_health();
-            let wants_kernel = matches!(job.request.payload, Payload::Execute { .. });
-            // Quarantine probes are serial by construction; degraded
-            // mode serializes kernel requests as before.
-            let serialized = job.probe || (wants_kernel && self.take_mode());
-            if serialized {
-                self.serialized_requests.fetch_add(1, Ordering::Relaxed);
-            }
             self.running.register(&job.control);
             // A panicking payload must not take the worker down with it:
             // the queue would lose a drainer and eventually wedge.
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.execute_payload(&job, serialized)
+                self.execute_payload(&job)
             }))
-            .unwrap_or_else(|_| {
-                self.degrade();
-                ExecOutcome {
-                    result: Err(ServiceError::Failed(ExecError::ParallelFault {
-                        detail: "request processing panicked".into(),
-                    })),
-                    cache: None,
-                }
+            .unwrap_or_else(|_| ExecOutcome {
+                result: Err(ServiceError::Failed(ExecError::ParallelFault {
+                    detail: "request processing panicked".into(),
+                })),
+                cache: None,
             });
             self.running.unregister(&job.control);
+            // Kept serial by policy, not by the data: a probe, or a run
+            // its kernel's open breaker denied.
+            let serialized = job.probe
+                || matches!(
+                    outcome.result,
+                    Ok(Outcome::Executed {
+                        degraded: Some(ExecError::BreakerOpen { .. }),
+                        ..
+                    })
+                );
+            if serialized {
+                self.serialized_requests.fetch_add(1, Ordering::Relaxed);
+            }
             // A doomed run's result — even a successful one — is
             // replaced by the typed lifecycle error: the waiter is gone
             // or the budget is spent, and partial work must never be
@@ -714,7 +629,7 @@ impl Inner {
             }
             let (guard, _) = self
                 .janitor_cv
-                .wait_timeout(stop, self.cfg.janitor_tick)
+                .wait_timeout(stop, JANITOR_TICK)
                 .unwrap_or_else(|e| e.into_inner());
             stop = guard;
         }
@@ -748,7 +663,7 @@ impl AnalysisService {
             .as_ref()
             .and_then(|dir| SnapshotStore::open(dir).ok());
         let inner = Arc::new(Inner {
-            cache: ShardedVerdictCache::new(cfg.shards, cfg.shard_capacity),
+            cache: ShardedVerdictCache::new(SHARDS, SHARD_CAPACITY),
             registry: KernelRegistry::new(cfg.level),
             pool,
             queue: Mutex::new(QueueState {
@@ -758,8 +673,6 @@ impl AnalysisService {
                 shutdown: false,
             }),
             jobs_cv: Condvar::new(),
-            mode: Mutex::new(Mode::Normal),
-            health_baseline: Mutex::new(PoolHealth::default()),
             running: RunningSet::default(),
             quarantine: Quarantine::new(cfg.quarantine.clone()),
             store,
@@ -769,7 +682,6 @@ impl AnalysisService {
             shed: Default::default(),
             max_inflight: AtomicU64::new(0),
             serialized_requests: AtomicU64::new(0),
-            degradations: AtomicU64::new(0),
             expired: AtomicU64::new(0),
             abandoned: AtomicU64::new(0),
             reaped_queued: AtomicU64::new(0),
@@ -847,10 +759,10 @@ impl AnalysisService {
                 return Err(ShedReason::Quarantined);
             }
         };
-        // Degradation shed: while serialized, refuse to let the queue
-        // grow past half capacity — serial execution drains slowly.
-        if q.jobs.len() >= inner.cfg.queue_capacity.div_ceil(2)
-            && *lock(&inner.mode) != Mode::Normal
+        // Degradation shed: while some kernel is being kept serial,
+        // refuse to let the queue grow past half capacity — serial
+        // execution drains slowly.
+        if q.jobs.len() >= inner.cfg.queue_capacity.div_ceil(2) && inner.registry.any_kept_serial()
         {
             drop(q);
             if probe {
@@ -870,10 +782,7 @@ impl AnalysisService {
             inner.note_shed(ShedReason::QueueFull);
             return Err(ShedReason::QueueFull);
         }
-        let deadline = request
-            .deadline
-            .or(inner.cfg.default_deadline)
-            .map(|d| Instant::now() + d);
+        let deadline = request.deadline.map(|d| Instant::now() + d);
         let control = JobControl::new(deadline);
         let slot = Arc::new(ResponseSlot::new());
         let depth = q.jobs.len() as u64 + 1;
@@ -955,7 +864,6 @@ impl AnalysisService {
             shed,
             max_inflight: inner.max_inflight.load(Ordering::Relaxed),
             serialized_requests: inner.serialized_requests.load(Ordering::Relaxed),
-            degradations: inner.degradations.load(Ordering::Relaxed),
             expired: inner.expired.load(Ordering::Relaxed),
             abandoned: inner.abandoned.load(Ordering::Relaxed),
             reaped_queued: inner.reaped_queued.load(Ordering::Relaxed),

@@ -7,7 +7,10 @@
 //!   serves a stale parallel verdict — neither from live shards nor
 //!   from a warm-start snapshot;
 //! * an injected worker death degrades the service without wedging the
-//!   queue.
+//!   queue;
+//! * a faulting kernel is kept serial on its own clock — eight denied
+//!   `Execute`s of *that* kernel, then a trial — while every other
+//!   kernel keeps running parallel.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -31,14 +34,46 @@ fn ingest(name: &str, data: Vec<usize>) -> ValidatedIndexArray {
     .expect("in-domain")
 }
 
-fn execute_request(client: &str) -> Request {
+fn execute_kernel(kernel: &str, client: &str) -> Request {
     Request::new(
         client,
         Payload::Execute {
-            kernel: "AMGmk".into(),
+            kernel: kernel.into(),
             dataset: "test".into(),
         },
     )
+}
+
+fn execute_request(client: &str) -> Request {
+    execute_kernel("AMGmk", client)
+}
+
+/// Submits, waits, and returns why the run did not finish parallel and
+/// whether the service says it kept the run serial by policy.
+fn outcome_of(service: &AnalysisService, request: Request) -> (Option<ExecError>, bool) {
+    let response = service.submit(request).expect("admitted").wait();
+    match response.result {
+        Ok(Outcome::Executed { degraded, .. }) => (degraded, response.telemetry.serialized),
+        other => panic!("expected an execution outcome, got {other:?}"),
+    }
+}
+
+/// Opens AMGmk's breaker: two `Execute`s whose attempt and retry both
+/// fault are four consecutive faults, one more than it takes. Armed for
+/// these two runs only; the caller arms its own plan afterwards (an
+/// empty one keeps a sibling test's faults out of the rest).
+fn open_amgmk_breaker(service: &AnalysisService) {
+    failpoint::silence_injected_panics();
+    let _chaos =
+        failpoint::arm(FailPlan::new().with("service.kernel.parallel", Arm::Panic, Fire::always()));
+    for run in 0..2 {
+        let (degraded, serialized) = outcome_of(service, execute_request("faulty"));
+        assert!(
+            matches!(degraded, Some(ExecError::ParallelFault { .. })),
+            "run {run}: {degraded:?}"
+        );
+        assert!(!serialized, "a rescued fault was not kept serial by policy");
+    }
 }
 
 fn small_config() -> ServiceConfig {
@@ -458,10 +493,6 @@ fn quarantine_isolates_poison_payload_and_releases_on_clean_probe() {
     let service = AnalysisService::start(ServiceConfig {
         workers: 2,
         pool_threads: 2,
-        // One serialized request per degradation so the second strike
-        // runs the parallel path again instead of hiding behind the
-        // cooldown.
-        serialized_cooldown: 1,
         quarantine: QuarantineConfig {
             strikes: 2,
             window: Duration::from_secs(30),
@@ -474,20 +505,13 @@ fn quarantine_isolates_poison_payload_and_releases_on_clean_probe() {
         kernel: "AMGmk".into(),
         dataset: "test".into(),
     };
-    let burn = || {
-        Request::new(
-            "bystander",
-            Payload::Execute {
-                kernel: "CG".into(),
-                dataset: "test".into(),
-            },
-        )
-    };
     let _chaos =
         failpoint::arm(FailPlan::new().with("service.kernel.parallel", Arm::Panic, Fire::always()));
-    // Two faulting completions of the same identity = two strikes. The
-    // guard rescues each serially, so the responses still execute — but
-    // the fault class is recorded against the payload.
+    // Two faulting completions of the same identity = two strikes (the
+    // kernel's breaker opens on the second run's first fault, after the
+    // run was admitted). The guard rescues each serially, so the
+    // responses still execute — but the fault class is recorded against
+    // the payload.
     for strike in 0..2 {
         let r = service
             .submit(execute_request(&format!("striker-{strike}")))
@@ -497,20 +521,12 @@ fn quarantine_isolates_poison_payload_and_releases_on_clean_probe() {
             matches!(
                 r.result,
                 Ok(Outcome::Executed {
-                    degraded: Some(_),
+                    degraded: Some(ExecError::ParallelFault { .. }),
                     ..
                 })
             ),
             "strike run must degrade, not fail terminally"
         );
-        // Burn the serialized-cooldown token so the next strike run
-        // takes the parallel path again.
-        service
-            .submit(burn())
-            .expect("admitted")
-            .wait()
-            .result
-            .expect("burn");
     }
     assert!(
         service.is_quarantined(&poison),
@@ -558,6 +574,90 @@ fn quarantine_isolates_poison_payload_and_releases_on_clean_probe() {
         "quarantine sheds must be counted"
     );
     service.shutdown();
+}
+
+/// One cooldown clock, and it is the kernel's own: after the faults that
+/// open AMGmk's breaker, exactly eight `Execute`s of AMGmk are denied up
+/// front and the ninth is the half-open trial — however many requests
+/// for other kernels run in between, and all of those run parallel.
+#[test]
+fn a_faulting_kernel_gets_its_trial_after_exactly_eight_of_its_own_denials() {
+    let service = AnalysisService::start(ServiceConfig {
+        workers: 1,
+        pool_threads: 2,
+        ..ServiceConfig::default()
+    });
+    open_amgmk_breaker(&service);
+    let _quiet = failpoint::arm(FailPlan::new());
+    let bystander = || {
+        assert_eq!(
+            outcome_of(&service, execute_kernel("CG", "bystander")),
+            (None, false),
+            "another kernel's faults must not serialize this one"
+        );
+    };
+    bystander();
+    for denial in 0..8 {
+        let remaining = 7 - denial;
+        assert_eq!(
+            outcome_of(&service, execute_request("faulty")),
+            (Some(ExecError::BreakerOpen { remaining }), true)
+        );
+        bystander();
+        bystander();
+    }
+    // The trial: admitted, and the fault is gone.
+    for client in ["trial", "closed"] {
+        assert_eq!(outcome_of(&service, execute_request(client)), (None, false));
+    }
+    let stats = service.stats();
+    assert_eq!(stats.serialized_requests, 8);
+    assert_eq!(stats.total_shed(), 0);
+    service.shutdown();
+}
+
+/// `Degraded` is shed when, and only when, some kernel is being kept
+/// serial *and* the queue is at half capacity: the same fill of the same
+/// queue is admitted whole while every breaker is closed.
+#[test]
+fn a_half_full_queue_sheds_degraded_only_while_a_breaker_is_not_closed() {
+    for breaker_open in [false, true] {
+        let service = AnalysisService::start(ServiceConfig {
+            workers: 1,
+            pool_threads: 2,
+            queue_capacity: 4,
+            ..ServiceConfig::default()
+        });
+        if breaker_open {
+            open_amgmk_breaker(&service);
+        }
+        // Every dispatch sleeps, so the queue cannot drain while it is
+        // being filled: one request for the worker and three behind it
+        // is two or three queued under a capacity of four — at half,
+        // never full.
+        let _wedge = failpoint::arm(FailPlan::new().with(
+            "service.worker.dispatch",
+            Arm::Delay(100),
+            Fire::always(),
+        ));
+        let fill: Vec<_> = (0..4)
+            .map(|i| service.submit(execute_kernel("CG", &format!("fill-{i}"))))
+            .collect();
+        let shed: Vec<_> = fill.iter().filter_map(|r| r.as_ref().err()).collect();
+        if breaker_open {
+            assert!(fill[0].is_ok() && fill[1].is_ok(), "below half capacity");
+            assert_eq!(fill[3].as_ref().err(), Some(&ShedReason::Degraded));
+            assert!(shed.iter().all(|r| **r == ShedReason::Degraded), "{shed:?}");
+        } else {
+            assert!(shed.is_empty(), "healthy service shed {shed:?}");
+        }
+        let degraded_sheds = service.stats().shed[(ShedReason::Degraded.code() - 1) as usize];
+        assert_eq!(degraded_sheds, shed.len() as u64);
+        for ticket in fill.into_iter().flatten() {
+            ticket.wait().result.expect("a queued request still runs");
+        }
+        service.shutdown();
+    }
 }
 
 /// Shutdown drains queued requests as structured shed responses instead

@@ -186,7 +186,8 @@ run_step full "release build" cargo build --release --workspace
 
 # Seeded failpoint schedules over the full kernel registry: every run
 # must complete parallel matching the serial golden or degrade serially
-# with a classified error and bit-identical output (see DESIGN.md 5c).
+# with a classified error and bit-identical output, and every site a
+# plan names must be reached by some kernel (see DESIGN.md 5c).
 # SUBSUB_CHAOS_SEEDS (env) overrides the pinned seed trio.
 run_step full "chaos sweep (seeded fault injection, pinned seeds)" \
   cargo run --release -q -p subsub-bench --bin chaos -- ${SUBSUB_CHAOS_SEEDS:-17 4242 900913}
@@ -219,8 +220,8 @@ run_step full "incremental re-inspection gate (O(delta) vs full re-scan)" \
   cargo run --release -q -p subsub-bench --bin reinspect
 
 # A quick real measurement of fork-join latency on this machine; the
-# --validate pass re-parses the emitted JSON through the strict parser
-# and the simulator's own MachineCalibration scanner, and — because
+# --validate pass re-parses the emitted JSON through the strict parser,
+# reads it the way the simulator's MachineCalibration does, and — because
 # --threads is passed — rejects a file whose measured series does not
 # match the requested thread counts (both passes cap them at the host's
 # cores: a wider team times the scheduler).
@@ -245,32 +246,24 @@ run_step full "telemetry trace smoke (validate)" \
   --validate target/BENCH_trace_ci.json
 
 # Closed-loop clients over the long-lived service front door, cold and
-# warm cache phases, with a mid-run worker kill: every completion must
+# warm memo phases, with a mid-run worker kill: every completion must
 # match the serial golden checksum (zero incorrect dispatches), no
-# ticket may wedge, the warm phase must hit the shard cache >= 90% of
-# the time, and >= 8 requests must be observed in flight at once
-# (see DESIGN.md 6). The pinned default seed keeps the run replayable.
+# ticket may wedge, >= 90% of the warm phase's verdict lookups (summed
+# over the kernels' executor memos) must be hits, and >= 8 requests must
+# be observed in flight at once (see DESIGN.md 6). The pinned default
+# seed keeps the run replayable.
 run_step full "analysis service smoke (seeded multi-client workload + chaos)" \
   cargo run --release -q -p subsub-bench --bin serve
 
 # Service-layer chaos: seeded failpoint schedules over the multi-client
 # workload with deadlines and abandoned tickets in the mix — admission
-# faults, worker dispatch deaths, single-flight leader panics, snapshot
-# save/rotate/load faults. Every request must settle in a typed terminal
-# state within bounds: zero divergence on Ok responses, no wedged
-# ticket, no post-storm lockout (quarantined identities re-admit via
-# their serial probe), and recovery from the snapshot directory must
-# find a verified generation or start cold (see DESIGN.md 8).
+# faults, worker dispatch deaths, kernel-body panics, frontend faults.
+# Every request must settle in a typed terminal state within bounds:
+# zero divergence on Ok responses, no wedged ticket, no post-storm
+# lockout (quarantined identities re-admit via their serial probe), and
+# every site a plan names must have been reached (see DESIGN.md 8).
 run_step full "chaos-serve (seeded lifecycle storms over the service, pinned seeds)" \
   cargo run --release -q -p subsub-bench --bin chaos_serve -- 29 8181 424243
-
-# Persistence drill for the verdict cache: a snapshot with any single
-# byte flipped must be rejected wholesale (digest mismatch), a rejected
-# load must leave the cache empty for a clean rebuild, and an intact
-# snapshot must warm-start a fresh service into a hit on the first
-# repeated request.
-run_step full "snapshot round-trip (write -> corrupt -> reject -> rebuild)" \
-  cargo run --release -q -p subsub-bench --bin serve -- --roundtrip
 
 # The pinned micro-suite (fork-join latency — empty, CHOLMOD-shaped and
 # AMGmk-shaped regions beside a same-run two-thread flag round trip —

@@ -1,8 +1,8 @@
 //! Service-layer chaos CLI: seeded failpoint storms over the
-//! multi-client serve workload — deadlines, abandonment, worker deaths,
-//! snapshot faults — asserting the request-lifecycle invariants (typed
-//! terminal states only, bounded completion, no divergence, no
-//! post-storm lockout, crash-consistent recovery).
+//! multi-client serve workload — deadlines, abandonment, worker deaths
+//! — asserting the request-lifecycle invariants (typed terminal states
+//! only, bounded completion, no divergence, no post-storm lockout, no
+//! site in a plan that the storm never reached).
 //!
 //! Usage: `cargo run -p subsub-bench --bin chaos_serve [seed...]`
 //! (defaults to the pinned CI seeds).

@@ -21,8 +21,8 @@
 //! ```
 //!
 //! `--validate` re-parses an emitted file through the strict JSON parser
-//! *and* the same `MachineCalibration` scanner the simulator uses, and
-//! fails loudly if the constants are missing, non-finite, or
+//! and reads it with the same `MachineCalibration` reader the simulator
+//! uses, and fails loudly if the constants are missing, non-finite, or
 //! non-positive — this is the CI smoke check. When `--threads` is given
 //! alongside `--validate`, the file's measured `series` must match those
 //! thread counts exactly (with the calibration point at the last of

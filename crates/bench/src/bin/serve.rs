@@ -1,22 +1,19 @@
 //! Analysis-service workload CLI: seeded multi-client closed-loop
-//! benchmark with cold/warm cache phases, mid-run fault injection, and
-//! snapshot round-trip drills.
+//! benchmark with cold/warm memo phases and mid-run fault injection.
 //!
 //! Usage:
 //!   cargo run -p subsub-bench --bin serve [--seed N] [--clients N]
-//!       [--requests N] [--no-chaos] [--snapshot PATH] [--light]
-//!   cargo run -p subsub-bench --bin serve -- --roundtrip [--seed N]
+//!       [--requests N] [--no-chaos] [--light]
 //!
-//! The default mode runs the workload and asserts the acceptance
-//! invariants: zero checksum divergences from the serial golden path,
-//! zero wedged tickets, warm-phase hit rate ≥ 90%, and ≥ 8 requests
-//! concurrently in flight. `--light` drops the concurrency/hit-rate
-//! bars (for constrained smoke environments) while keeping the
-//! correctness ones. `--roundtrip` runs the snapshot write → corrupt →
-//! reject → rebuild → warm-start drill instead. Exit code is nonzero on
-//! any violation, so CI can gate on it directly.
+//! Runs the workload and asserts the acceptance invariants: zero
+//! checksum divergences from the serial golden path, zero wedged
+//! tickets, warm-phase hit rate ≥ 90% (verdict lookups served from the
+//! executor memos), and ≥ 8 requests concurrently in flight. `--light`
+//! drops the concurrency/hit-rate bars (for constrained smoke
+//! environments) while keeping the correctness ones. Exit code is
+//! nonzero on any violation, so CI can gate on it directly.
 
-use subsub_bench::serve::{run_serve_workload, snapshot_roundtrip_drill, ServeConfig};
+use subsub_bench::serve::{run_serve_workload, ServeConfig};
 
 fn parse_flag_value(args: &[String], flag: &str) -> Option<u64> {
     args.iter()
@@ -32,19 +29,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let seed = parse_flag_value(&args, "--seed").unwrap_or(0x5eed_5e47);
 
-    if args.iter().any(|a| a == "--roundtrip") {
-        let violations = snapshot_roundtrip_drill(seed);
-        if violations.is_empty() {
-            println!("snapshot round-trip drill passed (seed {seed})");
-            return;
-        }
-        for v in &violations {
-            eprintln!("VIOLATION: {v}");
-        }
-        eprintln!("snapshot round-trip drill FAILED");
-        std::process::exit(1);
-    }
-
     let light = args.iter().any(|a| a == "--light");
     let cfg = ServeConfig {
         seed,
@@ -53,16 +37,8 @@ fn main() {
         kill_worker: !args.iter().any(|a| a == "--no-chaos"),
         ..ServeConfig::default()
     };
-    let (report, service) = run_serve_workload(&cfg);
+    let report = run_serve_workload(&cfg);
     println!("{}", report.to_json());
-
-    if let Some(i) = args.iter().position(|a| a == "--snapshot") {
-        let path = args.get(i + 1).expect("--snapshot expects a path");
-        std::fs::write(path, service.snapshot())
-            .unwrap_or_else(|e| panic!("writing snapshot to {path}: {e}"));
-        eprintln!("snapshot written to {path}");
-    }
-    service.shutdown();
 
     let violations: Vec<String> = report
         .violations()

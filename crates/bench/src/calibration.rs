@@ -1,13 +1,13 @@
 //! Structural validation of `BENCH_forkjoin.json` calibration files.
 //!
-//! The simulator's own `MachineCalibration::parse_json` is a deliberate
-//! three-key scan; it cannot notice a calibration file that was
+//! The simulator's own `MachineCalibration::from_json` reads three
+//! top-level keys; it cannot notice a calibration file that was
 //! measured at the *wrong thread counts* (e.g. CI requests
 //! `--threads 1,2,4` but a stale file measured at `1,2` is lying
-//! around). [`validate_calibration_doc`] re-parses the document with the
-//! strict JSON parser, checks the scalar constants the simulator needs,
-//! and — when the caller says which thread counts it asked for —
-//! verifies the measured `series` matches them exactly, in order.
+//! around). [`validate_calibration_doc`] parses the document once,
+//! checks the scalar constants the simulator needs, and — when the
+//! caller says which thread counts it asked for — verifies the measured
+//! `series` matches them exactly, in order.
 
 use subsub_omprt::MachineCalibration;
 use subsub_telemetry::json::{parse, Json};
@@ -85,9 +85,7 @@ pub fn validate_calibration_doc(
         Some("subsub-forkjoin/v1") => {}
         other => return Err(format!("unexpected schema {other:?}")),
     }
-    // The simulator's scanner is the consumer contract: the file must
-    // still round-trip through it.
-    let cal = MachineCalibration::parse_json(doc)
+    let cal = MachineCalibration::from_json(&root)
         .ok_or("not a valid forkjoin calibration document (simulator parse failed)")?;
     if !(cal.fork_join_ns.is_finite() && cal.fork_join_ns > 0.0) {
         return Err(format!(

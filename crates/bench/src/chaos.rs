@@ -4,9 +4,8 @@
 //!
 //! For every kernel, one guarded invocation runs with a
 //! [`FailPlan::seeded`] schedule armed over [`CHAOS_SITES`] — worker
-//! deaths at wake and claim, delays on the fork/join hot path, inspector
-//! chunk panics, dropped or corrupted cache inserts, corrupted check
-//! evaluations, dispatch faults, and panics inside the parallel kernel
+//! deaths at wake and claim, delays on the fork/join hot path, dropped
+//! or corrupted cache inserts, corrupted check evaluations, dispatch faults, and panics inside the parallel kernel
 //! body. Whatever fires, the invocation must end in exactly one of two
 //! states:
 //!
@@ -18,9 +17,13 @@
 //!
 //! Anything else — a panic escaping the harness, a hang, a corrupt
 //! result, an unclassified fallback — is a [`ChaosReport::violations`]
-//! entry, and the suite fails. Every run is reproducible from its seed.
+//! entry, and the suite fails. So is a site some kernel's plan named
+//! that no kernel's run reached: a site deleted from the code must not
+//! survive as a row that injects nothing. Every run is reproducible from
+//! its seed.
 
 use crate::guarded::GuardedHarness;
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use subsub_core::AlgorithmLevel;
 use subsub_failpoint::{self as failpoint, Arm, FailPlan};
@@ -28,8 +31,12 @@ use subsub_kernels::{all_kernels, common::close, Variant};
 use subsub_omprt::{RegionError, Schedule, ThreadPool};
 use subsub_rtcheck::ExecError;
 
-/// Every failpoint site the runtime exposes, with the arms a chaos
-/// schedule may legally draw for it. Sites on coordinator-only paths
+/// Every failpoint site a guarded run of a registry kernel's `test`
+/// dataset reaches, with the arms a chaos schedule may legally draw for
+/// it. (`rtcheck.inspect.chunk` is not among them — every `test` index
+/// array is below `PAR_THRESHOLD`, so the scan is serial; its faults are
+/// `rtcheck/tests/faults.rs`'s — and neither is `omprt.reduce.slot`: no
+/// kernel variant reduces on the pool.) Sites on coordinator-only paths
 /// (region fork/join) and sites consulted outside any `catch_unwind`
 /// (cache insert, check eval, dispatch) must never panic — a panic there
 /// would be a harness abort, not an injected fault — so their allowed
@@ -46,11 +53,6 @@ pub const CHAOS_SITES: &[(&str, &[Arm])] = &[
     // Coordinator fork/join hot path: timing disturbance only.
     ("omprt.region.fork", &[Arm::Delay(1)]),
     ("omprt.region.join", &[Arm::Delay(1)]),
-    // Inside a reduction job: caught by the region's panic containment.
-    ("omprt.reduce.slot", &[Arm::Panic, Arm::Delay(1)]),
-    // Inspector chunk body: a panic surfaces as a faulted inspection,
-    // which must be retried / serial-rescued, never memoized.
-    ("rtcheck.inspect.chunk", &[Arm::Panic, Arm::Delay(1)]),
     // Cache insert: dropped (Error) or conservatively corrupted memo.
     (
         "rtcheck.cache.insert",
@@ -131,6 +133,8 @@ pub fn chaos_sweep(seed: u64) -> ChaosReport {
     quiet_expected_panics();
     let mut results = Vec::new();
     let mut violations = Vec::new();
+    let mut named = BTreeSet::new();
+    let mut reached = BTreeSet::new();
     for k in all_kernels() {
         let name = k.name().to_string();
         // Golden serial run and harness construction happen *unarmed*:
@@ -150,11 +154,15 @@ pub fn chaos_sweep(seed: u64) -> ChaosReport {
                 harness.run(inst.as_mut(), &pool, Schedule::dynamic_default())
             }));
             let fired: Vec<String> = planned
-                .into_iter()
+                .iter()
                 .filter(|s| failpoint::fired(s) > 0)
+                .cloned()
                 .collect();
+            let hit = CHAOS_SITES.iter().filter(|(s, _)| failpoint::hits(s) > 0);
+            reached.extend(hit.map(|(s, _)| *s));
             (run, fired)
         };
+        named.extend(planned);
         let out = match run {
             Ok(out) => out,
             Err(p) => {
@@ -200,6 +208,11 @@ pub fn chaos_sweep(seed: u64) -> ChaosReport {
             degraded: out.reason,
             fired_sites,
         });
+    }
+    for site in named.iter().filter(|s| !reached.contains(s.as_str())) {
+        violations.push(format!(
+            "{site} [seed {seed}]: named by a plan, reached by no kernel (a dead arm)"
+        ));
     }
     ChaosReport {
         seed,

@@ -1,8 +1,7 @@
 //! Chaos at the service layer: seeded failpoint schedules over the
 //! multi-client serve workload, exercising the request lifecycle end to
-//! end — admission faults, worker dispatch deaths, single-flight leader
-//! panics, kernel-body panics, frontend lex/parse faults, and snapshot
-//! save/rotate/load faults — while clients mix plain requests with
+//! end — admission faults, worker dispatch deaths, kernel-body panics
+//! and frontend lex/parse faults — while clients mix plain requests with
 //! short deadlines, abandoned tickets, and a fuzz client streaming
 //! malformed C sources through `AnalyzeSource` (which must always
 //! settle as typed `Rejected`, never as a worker fault or a quarantine
@@ -19,16 +18,14 @@
 //! * no lockout — once the storm ends, a fresh client is admitted for
 //!   every mix entry (quarantined identities must re-admit via their
 //!   serial probe within the backoff ladder's bounded delay);
-//! * crash-consistent persistence — after shutdown, recovery from the
-//!   snapshot directory never panics and never loads a partial
-//!   generation.
+//! * no dead arm — every site the storm's plan names was reached, so a
+//!   site deleted from the code cannot survive as a row that injects
+//!   nothing.
 //!
 //! Every run is reproducible from its seed (`ci.sh full` step
 //! `chaos-serve` sweeps [`CHAOS_SERVE_SEEDS`]).
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -37,7 +34,7 @@ use subsub_failpoint::{self as failpoint, Arm, FailPlan};
 use subsub_kernels::common::close;
 use subsub_service::{
     AnalysisService, Outcome, Payload, QuarantineConfig, Request, ServiceConfig, ServiceError,
-    ShardedVerdictCache, ShedReason, SnapshotStore,
+    ShedReason,
 };
 use subsub_sparse::rng::Rng64;
 
@@ -45,34 +42,16 @@ use crate::serve::SERVE_MIX;
 
 /// Service-layer failpoint sites with the arms a schedule may legally
 /// draw. Panic arms are allowed only where a `catch_unwind` is
-/// guaranteed above the site (worker dispatch, single-flight leader,
-/// kernel body — all under the worker's or executor's containment);
-/// client-thread and janitor-persistence sites are restricted to
-/// error/corrupt/delay, which their callers absorb as typed failures.
+/// guaranteed above the site (worker dispatch, kernel body — under the
+/// worker's or executor's containment); the client-thread site is
+/// restricted to error/delay, which its caller absorbs as a typed shed.
 pub const CHAOS_SERVE_SITES: &[(&str, &[Arm])] = &[
     // Admission path, hit on the client thread under the queue lock.
     ("service.queue.push", &[Arm::Error, Arm::Delay(1)]),
     // Worker dispatch boundary (under the worker's catch_unwind).
     ("service.worker.dispatch", &[Arm::Panic, Arm::Delay(1)]),
-    // Single-flight inspection leader (FlightGuard clears the marker on
-    // unwind; the panic lands in the worker's catch_unwind).
-    ("service.flight.leader", &[Arm::Panic, Arm::Delay(1)]),
     // Parallel kernel body (under the executor's catch_unwind).
     ("service.kernel.parallel", &[Arm::Panic, Arm::Delay(1)]),
-    // Snapshot persistence: aborted saves, torn writes, mid-rotation
-    // crashes, blocked head reads.
-    (
-        "service.snapshot.save",
-        &[Arm::Error, Arm::Corrupt, Arm::Delay(1)],
-    ),
-    (
-        "service.snapshot.rotate",
-        &[Arm::Error, Arm::Corrupt, Arm::Delay(1)],
-    ),
-    (
-        "service.snapshot.load",
-        &[Arm::Error, Arm::Corrupt, Arm::Delay(1)],
-    ),
     // Frontend lex/parse, hit on a worker thread while it analyzes an
     // `AnalyzeSource` payload. Error injects a typed `injected-fault`
     // diagnostic (a Rejected response, never a worker fault); Panic is
@@ -110,8 +89,6 @@ pub struct ChaosServeConfig {
     pub clients: usize,
     /// Requests per client.
     pub requests_per_client: usize,
-    /// Snapshot directory (a scratch dir is derived when `None`).
-    pub snapshot_dir: Option<PathBuf>,
 }
 
 impl Default for ChaosServeConfig {
@@ -120,7 +97,6 @@ impl Default for ChaosServeConfig {
             seed: CHAOS_SERVE_SEEDS[0],
             clients: 6,
             requests_per_client: 12,
-            snapshot_dir: None,
         }
     }
 }
@@ -148,8 +124,6 @@ pub struct ChaosServeReport {
     pub sources_rejected: u64,
     /// Sites whose rules actually fired during the storm.
     pub fired_sites: Vec<String>,
-    /// What recovery found on disk after shutdown.
-    pub recovered_entries: usize,
     /// Wall-clock of the armed storm phase.
     pub storm: Duration,
     /// Invariant violations; empty means the storm passed.
@@ -178,7 +152,7 @@ impl ChaosServeReport {
             "{{\n  \"seed\": {},\n  \"ok\": {},\n  \"shed\": {},\n  \"expired\": {},\n  \
              \"abandoned\": {},\n  \"classified_failures\": {},\n  \"sources_ok\": {},\n  \
              \"sources_rejected\": {},\n  \"fired_sites\": [{}],\n  \
-             \"recovered_entries\": {},\n  \"storm_ms\": {},\n  \"violations\": [{}]\n}}",
+             \"storm_ms\": {},\n  \"violations\": [{}]\n}}",
             self.seed,
             self.ok,
             self.shed,
@@ -188,7 +162,6 @@ impl ChaosServeReport {
             self.sources_ok,
             self.sources_rejected,
             fired.join(", "),
-            self.recovered_entries,
             self.storm.as_millis(),
             violations.join(", ")
         )
@@ -199,10 +172,6 @@ fn sub_seed(seed: u64, tag: &str) -> u64 {
     tag.bytes().fold(seed ^ 0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     })
-}
-
-fn scratch_dir(seed: u64) -> PathBuf {
-    std::env::temp_dir().join(format!("subsub-chaos-serve-{}-{seed}", std::process::id()))
 }
 
 fn execute(kernel: &str, dataset: &str, client: &str) -> Request {
@@ -233,11 +202,6 @@ struct StormCounters {
 pub fn chaos_serve_storm(cfg: &ChaosServeConfig) -> ChaosServeReport {
     failpoint::silence_injected_panics();
     let seed = cfg.seed;
-    let dir = cfg
-        .snapshot_dir
-        .clone()
-        .unwrap_or_else(|| scratch_dir(seed));
-    let scratch = cfg.snapshot_dir.is_none();
     let mut violations = Vec::new();
 
     let service = Arc::new(AnalysisService::start(ServiceConfig {
@@ -249,8 +213,6 @@ pub fn chaos_serve_storm(cfg: &ChaosServeConfig) -> ChaosServeReport {
             backoff_base: Duration::from_millis(20),
             ..QuarantineConfig::default()
         },
-        snapshot_dir: Some(dir.clone()),
-        autosave_dirty: 2,
         ..ServiceConfig::default()
     }));
     // Goldens are computed unarmed: chaos targets the service machinery,
@@ -422,6 +384,11 @@ pub fn chaos_serve_storm(cfg: &ChaosServeConfig) -> ChaosServeReport {
                 violations.push(format!("[seed {seed}] a client thread panicked"));
             }
         }
+        for site in planned.iter().filter(|s| failpoint::hits(s) == 0) {
+            violations.push(format!(
+                "[seed {seed}] {site}: named by the plan, never reached (a dead arm)"
+            ));
+        }
         planned
             .into_iter()
             .filter(|s| failpoint::fired(s) > 0)
@@ -555,46 +522,7 @@ pub fn chaos_serve_storm(cfg: &ChaosServeConfig) -> ChaosServeReport {
         )),
     }
 
-    let final_entries = service.stats().cache.entries;
     service.shutdown();
-    drop(service);
-
-    // Crash-consistency: whatever the storm did to the snapshot
-    // directory, recovery must find a verified generation or start cold
-    // — never panic, never load partially.
-    let recovered_entries = {
-        let recovered = catch_unwind(AssertUnwindSafe(|| {
-            let store = SnapshotStore::open(&dir).expect("reopen snapshot dir");
-            let cache = ShardedVerdictCache::new(4, 256);
-            let r = store.recover(&cache);
-            (r.entries(), cache.stats().entries)
-        }));
-        match recovered {
-            Ok((entries, loaded)) => {
-                if entries != loaded as usize {
-                    violations.push(format!(
-                        "[seed {seed}] partial recovery: reported {entries}, loaded {loaded}"
-                    ));
-                }
-                // Shutdown persists a final unarmed generation, so a
-                // cache that learned anything must recover non-cold.
-                if final_entries > 0 && entries == 0 {
-                    violations.push(format!(
-                        "[seed {seed}] shutdown save lost: {final_entries} live entries, \
-                         cold recovery"
-                    ));
-                }
-                entries
-            }
-            Err(_) => {
-                violations.push(format!("[seed {seed}] recovery panicked"));
-                0
-            }
-        }
-    };
-    if scratch {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 
     let divergences = counters.divergences.load(Ordering::Relaxed);
     if divergences > 0 {
@@ -634,7 +562,6 @@ pub fn chaos_serve_storm(cfg: &ChaosServeConfig) -> ChaosServeReport {
         sources_ok: counters.sources_ok.load(Ordering::Relaxed),
         sources_rejected: counters.sources_rejected.load(Ordering::Relaxed),
         fired_sites,
-        recovered_entries,
         storm,
         violations,
     }
@@ -647,7 +574,7 @@ mod tests {
     #[test]
     fn site_table_restricts_unprotected_paths() {
         for (site, arms) in CHAOS_SERVE_SITES {
-            if site.starts_with("service.queue") || site.starts_with("service.snapshot") {
+            if site.starts_with("service.queue") {
                 assert!(
                     !arms.contains(&Arm::Panic),
                     "{site} is hit outside a guaranteed catch_unwind; Panic would abort"
@@ -676,7 +603,6 @@ mod tests {
             seed: CHAOS_SERVE_SEEDS[0],
             clients: 4,
             requests_per_client: 6,
-            snapshot_dir: None,
         });
         assert!(
             report.ok(),

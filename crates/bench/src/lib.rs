@@ -45,8 +45,6 @@ pub use harness::{calibrate, run_config, Config, Outcome};
 pub use microbench::bench;
 pub use perfgate::{GateRow, GateStatus};
 pub use reinspect::{run_reinspect_workload, ReinspectReport, MIN_SPEEDUP};
-pub use serve::{
-    run_serve_workload, snapshot_roundtrip_drill, ServeConfig, ServeReport, SERVE_MIX,
-};
+pub use serve::{run_serve_workload, ServeConfig, ServeReport, SERVE_MIX};
 pub use table::Table;
 pub use trace::{capture_trace, validate_trace_file, TraceArtifacts};

@@ -1,11 +1,12 @@
 //! The two front doors of the plan-and-dispatch path agree, fault class
 //! by fault class: the harness front ([`GuardedHarness`] — the caller's
-//! instance, verdicts from the executor's memo) and the service front
-//! ([`KernelEntry`] — a pooled instance, verdicts from the shard cache)
-//! run the same kernel under the same injected condition and must report
-//! the same path and reason class, move [`GuardStats`] by the same
-//! amounts, produce the serial golden bit for bit on every fallback, and
-//! leave the instance fit for the next run.
+//! instance, its raw views against the executor's memo) and the service
+//! front ([`KernelEntry`] — a pooled instance, re-verified ingested
+//! copies against the same memo) run the same kernel under the same
+//! injected condition and must report the same path and reason class,
+//! move [`GuardStats`] by the same amounts, produce the serial golden bit
+//! for bit on every fallback, and leave the instance fit for the next
+//! run.
 //!
 //! Conditions that live in the instance (a false check, a version that
 //! moves between the phases, a token that trips mid-run) are played by
@@ -21,8 +22,8 @@ use subsub_core::AlgorithmLevel;
 use subsub_failpoint::{self as failpoint, Arm, FailPlan, Fire};
 use subsub_kernels::{common::close, kernel_by_name, InnerGroup, KernelInstance};
 use subsub_omprt::{CancelToken, Schedule, ThreadPool};
-use subsub_rtcheck::{Bindings, CacheStats, ExecError, GuardStats, IndexArrayView};
-use subsub_service::{KernelEntry, Outcome, ServiceError, ShardedVerdictCache};
+use subsub_rtcheck::{Bindings, ExecError, GuardStats, IndexArrayView};
+use subsub_service::{KernelEntry, Outcome, ServiceError};
 
 /// What a [`Scripted`] instance does differently from the one it wraps.
 #[derive(Clone, Copy, Default)]
@@ -259,22 +260,16 @@ impl Front for HarnessFront<'_> {
 
 struct ServiceFront<'a> {
     entry: KernelEntry,
-    cache: ShardedVerdictCache,
     pool: &'a ThreadPool,
 }
 
 impl Front for ServiceFront<'_> {
     fn run(&mut self, serialized: bool, cancel: Option<&Arc<CancelToken>>) -> Ran {
-        match self
-            .entry
-            .execute(&self.cache, self.pool, serialized, cancel)
-        {
-            Ok(report) => match report.outcome {
-                Outcome::Executed {
-                    checksum, degraded, ..
-                } => Ok((checksum, degraded)),
-                Outcome::Analyzed(_) => panic!("an Execute produced an analysis report"),
-            },
+        match self.entry.execute(self.pool, serialized, cancel) {
+            Ok(Outcome::Executed {
+                checksum, degraded, ..
+            }) => Ok((checksum, degraded)),
+            Ok(Outcome::Analyzed(_)) => panic!("an Execute produced an analysis report"),
             Err(e) => {
                 assert!(matches!(e, ServiceError::Canceled), "{e:?}");
                 Err(())
@@ -283,16 +278,6 @@ impl Front for ServiceFront<'_> {
     }
     fn stats(&self) -> GuardStats {
         self.entry.guard_stats()
-    }
-}
-
-/// The counters the fronts must move alike. The executor's memo is the
-/// harness front's verdict source and idle behind the service front,
-/// whose source is the shard cache: `cache` is left out.
-fn counters(s: GuardStats) -> GuardStats {
-    GuardStats {
-        cache: CacheStats::default(),
-        ..s
     }
 }
 
@@ -333,7 +318,10 @@ fn play(row: &Row, front: &mut dyn Front, token: &Arc<CancelToken>, golden: f64)
             assert!(close(*checksum, golden), "{what}: {checksum} != {golden}");
         }
     }
-    let after_measured = counters(front.stats());
+    // Every counter, the memo's included: the fronts key it differently
+    // (identity + version against content), and on every row here a run
+    // is a hit for one exactly when it is a hit for the other.
+    let after_measured = front.stats();
     // Fit for the next run: a clean invocation on the same instance (the
     // service front checks the one it just restored back out).
     let next = front.run(false, None);
@@ -381,11 +369,7 @@ fn the_two_front_doors_agree_fault_class_by_fault_class() {
         let token = Arc::new(CancelToken::new());
         let entry = KernelEntry::new(row.kernel, "test", AlgorithmLevel::New).expect("entry");
         entry.adopt(make(&token));
-        let mut service = ServiceFront {
-            entry,
-            cache: ShardedVerdictCache::new(2, 16),
-            pool: &pool,
-        };
+        let mut service = ServiceFront { entry, pool: &pool };
         let by_service = play(&row, &mut service, &token, golden);
 
         assert_eq!(by_harness, by_service, "{}: GuardStats", row.name);

@@ -128,7 +128,7 @@ pub fn run_suite() -> Vec<BenchStats> {
     }));
 
     // The tamper gate: fingerprint + domain recomputed from raw data,
-    // once per shard-cache lookup and per `decide_ingested`.
+    // once per array of every service decision and `decide_ingested`.
     let verified = ValidatedIndexArray::ingest(
         "perfgate-verify",
         ramp.clone(),
@@ -237,8 +237,8 @@ pub fn run_suite() -> Vec<BenchStats> {
     }));
 
     // Service front-door entries, pinned small: one worker and a
-    // single-thread pool so the medians track the submit → shard-cache
-    // hit → dispatch constant factors, not scheduler jitter.
+    // single-thread pool so the medians track the submit → memo hit →
+    // dispatch constant factors, not scheduler jitter.
     let service = AnalysisService::start(ServiceConfig {
         workers: 1,
         pool_threads: 1,

@@ -6,8 +6,8 @@
 //! requests (subscripted-subscript kernels on their small datasets) in
 //! a closed loop: submit, wait, record latency, repeat. The workload
 //! runs in two phases over the same request mix — a **cold** phase that
-//! populates the sharded verdict cache and a **warm** phase that must
-//! be served from it — with an optional mid-run kill-a-worker fault
+//! populates the kernels' executor memos and a **warm** phase that must
+//! be served from them — with an optional mid-run kill-a-worker fault
 //! injection during the warm phase. Every response's checksum is
 //! compared against the kernel's serial golden checksum; any divergence
 //! is an incorrect dispatch and fails the run.
@@ -101,8 +101,8 @@ pub struct PhaseReport {
     pub throughput_rps: f64,
     /// Latency quantiles over completed requests.
     pub latency: LatencyQuantiles,
-    /// Verdict-cache hit rate within the phase (hits + warm + coalesced
-    /// over all lookups the phase performed).
+    /// Share of the phase's verdict lookups served from an executor
+    /// memo.
     pub hit_rate: f64,
 }
 
@@ -126,7 +126,7 @@ pub struct ServeReport {
     /// Requests kept serial by policy (quarantine probes, open
     /// breakers).
     pub serialized_requests: u64,
-    /// Final verdict-cache counters.
+    /// Final verdict-lookup counters, summed over the executor memos.
     pub cache: ShardStats,
 }
 
@@ -185,8 +185,7 @@ impl ServeReport {
             "{{\n  \"seed\": {},\n  \"cold\": {},\n  \"warm\": {},\n  \"divergences\": {},\n  \
              \"wedged\": {},\n  \"failures\": {},\n  \"max_inflight\": {},\n  \
              \"serialized_requests\": {},\n  \
-             \"cache\": {{\"hits\": {}, \"warm_hits\": {}, \"coalesced\": {}, \"misses\": {}, \
-             \"evictions\": {}, \"entries\": {}}}\n}}",
+             \"cache\": {{\"hits\": {}, \"misses\": {}}}\n}}",
             self.seed,
             phase(&self.cold),
             phase(&self.warm),
@@ -196,11 +195,7 @@ impl ServeReport {
             self.max_inflight,
             self.serialized_requests,
             self.cache.hits,
-            self.cache.warm_hits,
-            self.cache.coalesced,
             self.cache.misses,
-            self.cache.evictions,
-            self.cache.entries,
         )
     }
 }
@@ -234,10 +229,7 @@ fn run_phase(
     phase_tag: u64,
 ) -> (PhaseReport, PhaseCounters) {
     let counters = Arc::new(PhaseCounters::new());
-    let hits_before = {
-        let s = service.stats().cache;
-        (s.hits + s.warm_hits + s.coalesced, s.misses)
-    };
+    let before = service.stats().cache;
     let started = Instant::now();
     let handles: Vec<_> = (0..cfg.clients)
         .map(|c| {
@@ -303,11 +295,9 @@ fn run_phase(
         let _ = h.join();
     }
     let duration = started.elapsed();
-    let (reused_before, misses_before) = hits_before;
     let s = service.stats().cache;
-    let reused = (s.hits + s.warm_hits + s.coalesced).saturating_sub(reused_before);
-    let misses = s.misses.saturating_sub(misses_before);
-    let lookups = reused + misses;
+    let reused = s.hits - before.hits;
+    let lookups = reused + s.misses - before.misses;
     let completed = counters.completed.load(Ordering::Relaxed);
     let latencies = std::mem::take(
         &mut *counters
@@ -332,10 +322,8 @@ fn run_phase(
     (report, counters)
 }
 
-/// Runs the full two-phase workload against a fresh service and returns
-/// the report plus the service (still running, so callers can snapshot
-/// its cache).
-pub fn run_serve_workload(cfg: &ServeConfig) -> (ServeReport, Arc<AnalysisService>) {
+/// Runs the full two-phase workload against a fresh service.
+pub fn run_serve_workload(cfg: &ServeConfig) -> ServeReport {
     let service = Arc::new(AnalysisService::start(cfg.service.clone()));
     // Golden serial checksums, computed once up front on dedicated
     // instances — the divergence oracle for every response.
@@ -360,7 +348,8 @@ pub fn run_serve_workload(cfg: &ServeConfig) -> (ServeReport, Arc<AnalysisServic
     drop(chaos);
 
     let stats = service.stats();
-    let report = ServeReport {
+    service.shutdown();
+    ServeReport {
         seed: cfg.seed,
         cold,
         warm,
@@ -373,99 +362,7 @@ pub fn run_serve_workload(cfg: &ServeConfig) -> (ServeReport, Arc<AnalysisServic
         max_inflight: stats.max_inflight,
         serialized_requests: stats.serialized_requests,
         cache: stats.cache,
-    };
-    (report, service)
-}
-
-/// Snapshot round-trip drill: run a short workload, write the snapshot,
-/// verify (a) a one-byte corruption is rejected and the cache rebuilds,
-/// and (b) the intact snapshot warm-starts a fresh service to a cache
-/// hit on its first repeated request. Returns violations (empty = pass).
-pub fn snapshot_roundtrip_drill(seed: u64) -> Vec<String> {
-    let mut violations = Vec::new();
-    let cfg = ServeConfig {
-        seed,
-        clients: 4,
-        requests_per_client: 4,
-        kill_worker: false,
-        ..ServeConfig::default()
-    };
-    let (report, service) = run_serve_workload(&cfg);
-    violations.extend(
-        report
-            .violations()
-            .into_iter()
-            // The short drill doesn't aim for the concurrency bar.
-            .filter(|v| !v.contains("in-flight")),
-    );
-    let snapshot = service.snapshot();
-    service.shutdown();
-    if subsub_service::parse_snapshot(&snapshot).is_err() {
-        violations.push("written snapshot does not parse back".into());
-        return violations;
     }
-
-    // (a) Corrupt one content byte: the load must reject wholesale.
-    let mut corrupt = snapshot.clone().into_bytes();
-    match corrupt.windows(8).position(|w| w == b"checksum") {
-        Some(i) => corrupt[i + 12] ^= 0x01,
-        None => violations.push("snapshot carries no entries to corrupt".into()),
-    }
-    let corrupt = String::from_utf8(corrupt).unwrap_or_default();
-    let rebuilt = AnalysisService::start(cfg.service.clone());
-    if rebuilt.warm_start(&corrupt).is_ok() {
-        violations.push("corrupted snapshot was accepted".into());
-    }
-    if rebuilt.stats().cache.entries != 0 {
-        violations.push("rejected snapshot left partial entries".into());
-    }
-    // Rebuild from cold still works.
-    let response = rebuilt
-        .submit(Request {
-            client: "rebuild".into(),
-            deadline: None,
-            payload: Payload::Execute {
-                kernel: "AMGmk".into(),
-                dataset: "test".into(),
-            },
-        })
-        .expect("admitted")
-        .wait();
-    if response.result.is_err() {
-        violations.push("rebuild after rejected snapshot failed".into());
-    }
-    rebuilt.shutdown();
-
-    // (b) The intact snapshot warm-starts a fresh service to a cache
-    // hit on the first repeated request.
-    let warm = AnalysisService::start(cfg.service.clone());
-    match warm.warm_start(&snapshot) {
-        Ok(n) if n > 0 => {}
-        Ok(_) => violations.push("snapshot warm-started zero entries".into()),
-        Err(e) => violations.push(format!("intact snapshot rejected: {e}")),
-    }
-    let response = warm
-        .submit(Request {
-            client: "warm".into(),
-            deadline: None,
-            payload: Payload::Execute {
-                kernel: "AMGmk".into(),
-                dataset: "test".into(),
-            },
-        })
-        .expect("admitted")
-        .wait();
-    match response.telemetry.cache {
-        Some(subsub_service::Lookup::WarmHit) => {}
-        other => violations.push(format!(
-            "first repeated request after warm-start was {other:?}, not a warm hit"
-        )),
-    }
-    if warm.stats().cache.misses != 0 {
-        violations.push("warm-started service re-inspected known content".into());
-    }
-    warm.shutdown();
-    violations
 }
 
 #[cfg(test)]
@@ -483,17 +380,10 @@ mod tests {
             kill_worker: false,
             ..ServeConfig::default()
         };
-        let (report, service) = run_serve_workload(&cfg);
+        let report = run_serve_workload(&cfg);
         assert_eq!(report.divergences, 0);
         assert_eq!(report.wedged, 0);
         assert_eq!(report.failures, 0);
         assert!(report.warm.hit_rate > 0.0, "warm phase must reuse verdicts");
-        service.shutdown();
-    }
-
-    #[test]
-    fn roundtrip_drill_passes() {
-        let violations = snapshot_roundtrip_drill(11);
-        assert!(violations.is_empty(), "{violations:?}");
     }
 }

@@ -13,6 +13,7 @@ use crate::schedule::{dynamic_batch, guided_claim, static_chunks, Schedule};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::OnceLock;
+use subsub_telemetry::json::{self, Json};
 
 /// Cost-model parameters. Units are arbitrary but consistent (the figure
 /// harnesses use nanoseconds calibrated against real single-thread runs).
@@ -194,14 +195,19 @@ pub struct MachineCalibration {
 }
 
 impl MachineCalibration {
-    /// Parses a `BENCH_forkjoin.json` document. The format is the flat
-    /// object `forkjoin_calibrate` emits; only the three scalar keys are
-    /// read, so the parser is a deliberate 20-line scan rather than a
-    /// JSON dependency.
+    /// Parses a `BENCH_forkjoin.json` document, the object
+    /// `forkjoin_calibrate` emits.
     pub fn parse_json(doc: &str) -> Option<MachineCalibration> {
-        let fork_join_ns = scan_number(doc, "fork_join_ns")?;
-        let dispatch_ns = scan_number(doc, "dispatch_ns")?;
-        let threads = scan_number(doc, "cal_threads")? as usize;
+        MachineCalibration::from_json(&json::parse(doc).ok()?)
+    }
+
+    /// Reads the three scalar keys at the top level of a parsed
+    /// calibration document; the same names inside its `host` and
+    /// `series` objects are not looked at.
+    pub fn from_json(root: &Json) -> Option<MachineCalibration> {
+        let fork_join_ns = root.get("fork_join_ns")?.as_f64()?;
+        let dispatch_ns = root.get("dispatch_ns")?.as_f64()?;
+        let threads = root.get("cal_threads")?.as_u64()? as usize;
         (fork_join_ns.is_finite() && fork_join_ns > 0.0 && dispatch_ns.is_finite()).then_some(
             MachineCalibration {
                 fork_join_ns,
@@ -251,17 +257,6 @@ impl SimParams {
             None => SimParams::default(),
         }
     }
-}
-
-/// Finds `"key": <number>` in a flat JSON document.
-fn scan_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 #[cfg(test)]
@@ -434,6 +429,28 @@ mod tests {
         assert!((c.fork_join_ns - 1234.5).abs() < 1e-9);
         assert!((c.dispatch_ns - 42.0).abs() < 1e-9);
         assert!(c.dispatch_ratio() > 0.0 && c.dispatch_ratio() <= 1.0);
+    }
+
+    /// `series` points and `host` may carry the top-level names; only the
+    /// top level is the calibration.
+    #[test]
+    fn calibration_ignores_decoy_keys_in_nested_objects() {
+        let doc = r#"{
+  "schema": "subsub-forkjoin/v1",
+  "host": {"nproc": 2, "cal_threads": 64},
+  "series": [{"threads": 1, "fork_join_ns": 59.5, "dispatch_ns": 0.5}],
+  "cal_threads": 2,
+  "fork_join_ns": 201.0,
+  "dispatch_ns": 28.99
+}"#;
+        let c = MachineCalibration::parse_json(doc).expect("parses");
+        assert_eq!(
+            (c.threads, c.fork_join_ns, c.dispatch_ns),
+            (2, 201.0, 28.99)
+        );
+        let nested_only =
+            r#"{"series": [{"cal_threads": 2, "fork_join_ns": 59.5, "dispatch_ns": 0.5}]}"#;
+        assert!(MachineCalibration::parse_json(nested_only).is_none());
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub const BLOCK_LEN: usize = 4096;
 
 /// Version tag of the content fingerprint: `subsub-fingerprint/v3`, the
 /// multi-lane block fold under a position-keyed sum (module docs).
-/// Rides along in service cache keys and snapshots so a verdict
+/// Rides along in the inspector memo's content keys so a verdict
 /// fingerprinted under one scheme is never served under another.
 pub const FINGERPRINT_VERSION: u8 = 3;
 

@@ -9,124 +9,25 @@
 //! triggers re-inspection, while an unchanged array revalidates in O(1).
 //!
 //! An array behind the ingestion trust boundary is keyed on its
-//! *content* instead — (checksum, length, fingerprint version), the
-//! identity the service's `VerdictKey` uses. Name, address and version
-//! say nothing about what a freshly ingested array holds: a new array
-//! under a reused name can land on a freed buffer's address and starts
-//! at version 0 like its predecessor.
+//! *content* instead — (checksum, length, fingerprint version). Name,
+//! address and version say nothing about what a freshly ingested array
+//! holds: a new array under a reused name can land on a freed buffer's
+//! address and starts at version 0 like its predecessor.
+//!
+//! The memo is bounded ([`MEMO_CAPACITY`]): when an insert would exceed
+//! the bound, the entry with the oldest recency stamp is evicted (a
+//! linear min-scan — exact LRU order is not worth a linked list at this
+//! capacity, and the scan only runs on inserts into a full memo).
 
 use crate::block::FINGERPRINT_VERSION;
 use crate::inspect::{inspect_serial, try_inspect_monotone, IndexArrayView, MonotoneVerdict};
 use std::collections::HashMap;
-use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use subsub_failpoint::{self as failpoint, Action};
 use subsub_omprt::{RegionError, ThreadPool};
 use subsub_telemetry as telemetry;
 use subsub_telemetry::{EventKind, Phase};
-
-/// A bounded verdict memo with least-recently-used-ish eviction.
-///
-/// The original inspector memo grew without bound: every distinct array
-/// identity (or, at service scale, every distinct array *content*) held
-/// its entry forever. `VerdictCache` caps the entry count explicitly;
-/// when an insert would exceed the capacity, the entry with the oldest
-/// recency stamp is evicted (a linear min-scan — exact LRU order is not
-/// worth a linked list at the capacities the runtime uses, and the scan
-/// only runs on inserts into a full cache).
-///
-/// The type is deliberately not internally synchronized: the inspector
-/// memo wraps it in a `Mutex`, and the service's sharded cache wraps one
-/// per shard — locking granularity is the caller's concern.
-#[derive(Debug)]
-pub struct VerdictCache<K, V> {
-    cap: usize,
-    tick: u64,
-    evictions: u64,
-    map: HashMap<K, (u64, V)>,
-}
-
-impl<K: Eq + Hash + Clone, V> VerdictCache<K, V> {
-    /// A cache holding at most `cap` entries (clamped to at least 1).
-    pub fn with_capacity(cap: usize) -> VerdictCache<K, V> {
-        VerdictCache {
-            cap: cap.max(1),
-            tick: 0,
-            evictions: 0,
-            map: HashMap::new(),
-        }
-    }
-
-    /// The capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Current entry count (always `<= capacity()`).
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when no entry is held.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Entries evicted under capacity pressure so far.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Looks up `key`, refreshing its recency stamp on a hit.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.map.get_mut(key) {
-            Some((stamp, v)) => {
-                *stamp = tick;
-                Some(v)
-            }
-            None => None,
-        }
-    }
-
-    /// Inserts (or replaces) `key`, evicting the stalest entry first if
-    /// the cache is full. Returns the evicted key, if any.
-    pub fn insert(&mut self, key: K, value: V) -> Option<K> {
-        self.tick += 1;
-        let mut evicted = None;
-        if !self.map.contains_key(&key) && self.map.len() >= self.cap {
-            if let Some(victim) = self
-                .map
-                .iter()
-                .min_by_key(|(_, (stamp, _))| *stamp)
-                .map(|(k, _)| k.clone())
-            {
-                self.map.remove(&victim);
-                self.evictions += 1;
-                evicted = Some(victim);
-            }
-        }
-        self.map.insert(key, (self.tick, value));
-        evicted
-    }
-
-    /// Removes `key`, returning its value if present.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        self.map.remove(key).map(|(_, v)| v)
-    }
-
-    /// Drops every entry (the eviction counter is kept).
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
-
-    /// Iterates over `(key, value)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.map.iter().map(|(k, (_, v))| (k, v))
-    }
-}
 
 /// Entries the inspector memo holds before evicting; far above what the
 /// kernel registry needs, low enough that a service sweeping arbitrary
@@ -187,11 +88,56 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
+/// The entries behind the memo's lock, each with its recency stamp.
+#[derive(Debug)]
+struct Memo {
+    cap: usize,
+    tick: u64,
+    evictions: u64,
+    map: HashMap<Key, (u64, (u64, MonotoneVerdict))>,
+}
+
+impl Memo {
+    /// Looks up `key`, refreshing its recency stamp on a hit.
+    fn get(&mut self, key: &Key) -> Option<&(u64, MonotoneVerdict)> {
+        self.tick += 1;
+        let tick = self.tick;
+        match self.map.get_mut(key) {
+            Some((stamp, v)) => {
+                *stamp = tick;
+                Some(v)
+            }
+            None => None,
+        }
+    }
+
+    /// Inserts (or replaces) `key`, evicting the stalest entry first if
+    /// the memo is full. Returns the evicted key, if any.
+    fn insert(&mut self, key: Key, value: (u64, MonotoneVerdict)) -> Option<Key> {
+        self.tick += 1;
+        let mut evicted = None;
+        if !self.map.contains_key(&key) && self.map.len() >= self.cap {
+            if let Some(victim) = self
+                .map
+                .iter()
+                .min_by_key(|(_, (stamp, _))| *stamp)
+                .map(|(k, _)| k.clone())
+            {
+                self.map.remove(&victim);
+                self.evictions += 1;
+                evicted = Some(victim);
+            }
+        }
+        self.map.insert(key, (self.tick, value));
+        evicted
+    }
+}
+
 /// Verdict memo keyed by (array identity, version), bounded at
 /// [`MEMO_CAPACITY`] entries with LRU-ish eviction.
 #[derive(Debug)]
 pub struct InspectorCache {
-    entries: Mutex<VerdictCache<Key, (u64, MonotoneVerdict)>>,
+    entries: Mutex<Memo>,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
@@ -209,10 +155,15 @@ impl InspectorCache {
         InspectorCache::bounded(MEMO_CAPACITY)
     }
 
-    /// Empty cache holding at most `cap` verdicts.
+    /// Empty cache holding at most `cap` verdicts (at least one).
     pub fn bounded(cap: usize) -> InspectorCache {
         InspectorCache {
-            entries: Mutex::new(VerdictCache::with_capacity(cap)),
+            entries: Mutex::new(Memo {
+                cap: cap.max(1),
+                tick: 0,
+                evictions: 0,
+                map: HashMap::new(),
+            }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
@@ -367,7 +318,7 @@ impl InspectorCache {
 
     /// Drops every memoized verdict (counters are kept).
     pub fn clear(&self) {
-        lock(&self.entries).clear();
+        lock(&self.entries).map.clear();
     }
 
     /// Snapshot of the counters.
@@ -376,7 +327,7 @@ impl InspectorCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
-            evictions: lock(&self.entries).evictions(),
+            evictions: lock(&self.entries).evictions,
         }
     }
 }
@@ -437,34 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn verdict_cache_evicts_stalest_under_pressure() {
-        let mut c: VerdictCache<u32, &str> = VerdictCache::with_capacity(3);
-        assert!(c.insert(1, "a").is_none());
-        assert!(c.insert(2, "b").is_none());
-        assert!(c.insert(3, "c").is_none());
-        assert_eq!(c.len(), 3);
-        // Touch 1 and 2 so 3 is the stalest.
-        assert_eq!(c.get(&1), Some(&"a"));
-        assert_eq!(c.get(&2), Some(&"b"));
-        assert_eq!(c.insert(4, "d"), Some(3));
-        assert_eq!((c.len(), c.evictions()), (3, 1));
-        assert!(c.get(&3).is_none(), "victim is gone");
-        assert_eq!(c.get(&4), Some(&"d"));
-        // Replacing an existing key under a full cache evicts nothing.
-        assert!(c.insert(4, "d2").is_none());
-        assert_eq!(c.evictions(), 1);
-    }
-
-    #[test]
-    fn verdict_cache_capacity_is_clamped_to_one() {
-        let mut c: VerdictCache<u8, u8> = VerdictCache::with_capacity(0);
-        assert_eq!(c.capacity(), 1);
-        assert!(c.insert(1, 10).is_none());
-        assert_eq!(c.insert(2, 20), Some(1));
-        assert_eq!((c.len(), c.get(&2)), (1, Some(&20)));
-    }
-
-    #[test]
     fn inspector_memo_evicts_under_pressure_and_reinspects() {
         // A 2-entry memo driven with 3 distinct arrays: the stalest entry
         // is evicted, and looking it up again is a miss (re-inspection),
@@ -475,16 +398,30 @@ mod tests {
         let c = vec![5usize, 6, 7];
         cache.verdict(&view("a", &a, 0), None);
         cache.verdict(&view("b", &b, 0), None);
-        cache.verdict(&view("c", &c, 0), None); // evicts "a"
-        let s = cache.stats();
-        assert_eq!((s.misses, s.evictions), (3, 1));
-        // "a" was evicted: this lookup must re-inspect, not hit.
+        // A hit refreshes "a", so "b" is now the stalest.
         cache.verdict(&view("a", &a, 0), None);
+        cache.verdict(&view("c", &c, 0), None); // evicts "b"
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (0, 4));
+        assert_eq!((s.hits, s.misses, s.evictions), (1, 3, 1));
+        // "b" was evicted: this lookup must re-inspect, not hit — and
+        // entering it again evicts "a", the stalest of the other two.
+        cache.verdict(&view("b", &b, 0), None);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.evictions), (1, 4, 2));
         // "c" is still resident and hits.
         cache.verdict(&view("c", &c, 0), None);
-        assert_eq!(cache.stats().hits, 1);
+        assert_eq!(cache.stats().hits, 2);
+        // Replacing an entry under a full memo (a version bump) evicts
+        // nothing.
+        cache.verdict(&view("c", &c, 1), None);
+        assert_eq!(cache.stats().evictions, 2);
+        // The bound is clamped to one entry.
+        let one = InspectorCache::bounded(0);
+        one.verdict(&view("a", &a, 0), None);
+        one.verdict(&view("a", &a, 0), None);
+        one.verdict(&view("b", &b, 0), None);
+        let s = one.stats();
+        assert_eq!((s.hits, s.misses, s.evictions), (1, 2, 1));
     }
 
     #[test]

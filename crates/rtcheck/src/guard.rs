@@ -243,11 +243,11 @@ impl GuardedExecutor {
     }
 
     /// Phase 1 with the caller's own verdict source: `verdict_of(i)`
-    /// answers for `arrays[i]` (the service passes its sharded,
-    /// content-addressed cache and keeps the lookup classification), and
-    /// an `Err` — the source rejected its evidence — denies with that
-    /// reason. Breaker admission and the scalar check come first, so a
-    /// denied invocation never consults the source.
+    /// answers for `arrays[i]` (the service passes
+    /// [`GuardedExecutor::verdict_for`] over its ingested copy of each
+    /// live view), and an `Err` — the source rejected its evidence —
+    /// denies with that reason. Breaker admission and the scalar check
+    /// come first, so a denied invocation never consults the source.
     pub fn decide_with(
         &self,
         kernel: &str,
@@ -262,6 +262,15 @@ impl GuardedExecutor {
             || Ok(()),
             verdict_of,
         )
+    }
+
+    /// One ingested array's verdict from this executor's memo, for a
+    /// [`GuardedExecutor::decide_with`] source: the array is re-verified
+    /// first (a bypassing writer is rejected before its summaries are
+    /// consulted), then [`InspectorCache::verdict_ingested`] answers.
+    pub fn verdict_for(&self, array: &ValidatedIndexArray) -> Result<MonotoneVerdict, ExecError> {
+        array.verify()?;
+        Ok(self.cache.verdict_ingested(array))
     }
 
     /// Phase 1 over *ingested* index arrays: the trust-boundary form of

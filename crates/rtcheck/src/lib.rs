@@ -51,7 +51,7 @@ pub mod validate;
 
 pub use bindings::Bindings;
 pub use block::{BlockSummaries, BlockSummary, BLOCK_LEN, FINGERPRINT_VERSION};
-pub use cache::{CacheStats, InspectorCache, VerdictCache, MEMO_CAPACITY};
+pub use cache::{CacheStats, InspectorCache, MEMO_CAPACITY};
 pub use compile::{CompileError, CompiledCheck, EvalError};
 pub use error::{ExecError, Settle};
 pub use expr::{parse_check, CheckExpr, CmpOp, ParseError};

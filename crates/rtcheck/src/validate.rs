@@ -232,27 +232,14 @@ impl ValidatedIndexArray {
     /// trustworthy alongside a fresh [`ValidatedIndexArray::verify`]:
     /// verify recomputes the fingerprint of the *current* contents and
     /// fails on drift, so `verify()? ; checksum()` yields a fingerprint
-    /// that provably describes the data as it is now. The service-layer
-    /// verdict cache keys on this (checksum + provenance + inspector
-    /// kind), which is what lets verdicts be shared across requests —
-    /// and across processes via warm-start snapshots — without ever
-    /// trusting a verdict for content that drifted.
+    /// that provably describes the data as it is now. The executor's
+    /// memo keys ingested arrays on this (checksum + length), which is
+    /// what lets instances holding equal content share a verdict without
+    /// ever trusting one for content that drifted.
     ///
     /// Work: Θ(1). Span: Θ(1).
     pub fn checksum(&self) -> u64 {
         self.summaries.checksum()
-    }
-
-    /// A stable 64-bit tag of the provenance, for content-addressed
-    /// cache keys: equal provenance renders equal tags across processes
-    /// (FNV-1a over the display form).
-    pub fn provenance_tag(&self) -> u64 {
-        let rendered = self.provenance.to_string();
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in rendered.as_bytes() {
-            h = (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3);
-        }
-        h
     }
 
     /// Where the contents came from.

@@ -13,17 +13,18 @@
 //! plan's scalar check is compiled once, and prepared problem instances
 //! are pooled so the hot path of a repeated request skips both
 //! `prepare()` and analysis entirely — all that remains is the guard
-//! ladder, whose inspection rung is served by the service's sharded,
-//! content-addressed verdict cache.
+//! ladder, whose inspection rung is served by the plan's own executor
+//! memo. The service keeps no verdict state outside its entries
+//! (DESIGN.md §6 says why).
 //!
 //! The entry keeps, alongside each pooled instance, *ingested copies*
 //! of its index arrays ([`ValidatedIndexArray`]): the copies carry the
-//! checksum/provenance identity the shard cache keys on. A copy is only
-//! trusted while the live instance's write-version matches the version
-//! recorded at copy time — any drift re-ingests before inspection, and
-//! the executor's dispatch-time tamper gate re-reads the live versions
-//! once more, so a writer racing between inspection and dispatch forces
-//! the serial golden path rather than a stale parallel admission.
+//! content fingerprint the memo keys on. A copy is only trusted while
+//! the live instance's write-version matches the version recorded at
+//! copy time — any drift re-ingests before inspection, and the
+//! executor's dispatch-time tamper gate re-reads the live versions once
+//! more, so a writer racing between inspection and dispatch forces the
+//! serial golden path rather than a stale parallel admission.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -37,7 +38,6 @@ use subsub_rtcheck::{
 };
 
 use crate::request::{Outcome, ServiceError};
-use crate::shard::{Lookup, ShardedVerdictCache};
 
 /// How many reset instances an entry keeps pooled. More than the worker
 /// count is never useful; beyond this, checked-in instances are dropped.
@@ -169,15 +169,6 @@ pub struct KernelEntry {
     golden: Mutex<Option<f64>>,
 }
 
-/// What one guarded service execution produced, before it is folded
-/// into a [`crate::Response`].
-pub struct ExecReport {
-    /// The outcome (always [`Outcome::Executed`]).
-    pub outcome: Outcome,
-    /// The verdict-cache lookup classification, when inspection ran.
-    pub cache: Option<Lookup>,
-}
-
 impl KernelEntry {
     /// Runs the compile-time pipeline for `kernel_name` and binds the
     /// decision for `dataset`.
@@ -296,58 +287,53 @@ impl KernelEntry {
         g
     }
 
-    /// One guarded execution through the service's sharded verdict
-    /// cache. `serialized` forces the serial path (a quarantine
-    /// probe); `cancel` (the per-job token) is
+    /// One guarded execution on a pooled instance; the outcome is always
+    /// [`Outcome::Executed`]. `serialized` forces the serial path (a
+    /// quarantine probe); `cancel` (the per-job token) is
     /// installed as the ambient token around every kernel region and
     /// checked at each rung boundary — a tripped token abandons the
     /// invocation with [`ServiceError::Canceled`], discarding partial
     /// work.
     pub fn execute(
         &self,
-        cache: &ShardedVerdictCache,
         pool: &ThreadPool,
         serialized: bool,
         cancel: Option<&Arc<CancelToken>>,
-    ) -> Result<ExecReport, ServiceError> {
+    ) -> Result<Outcome, ServiceError> {
         let mut p = self.checkout();
-        let report = self.execute_prepared(&mut p, cache, pool, serialized, cancel);
+        let outcome = self.execute_prepared(&mut p, pool, serialized, cancel);
         // A probe's identity is suspected of faulting workers: its
         // epilogue opens no region either.
         self.restore(p, (!serialized).then_some(pool));
-        report
+        outcome
     }
 
     fn execute_prepared(
         &self,
         p: &mut PreparedInstance,
-        cache: &ShardedVerdictCache,
         pool: &ThreadPool,
         serialized: bool,
         cancel: Option<&Arc<CancelToken>>,
-    ) -> Result<ExecReport, ServiceError> {
+    ) -> Result<Outcome, ServiceError> {
         let PreparedInstance {
             inst,
             ingested,
             copied_at,
         } = p;
-        let mut lookup: Option<Lookup> = None;
+        let executor = &self.plan.executor;
         let ran = self.plan.execute(
             inst.as_mut(),
             serialized,
             |bindings, views| {
                 refresh(ingested, copied_at, views);
-                // Inspection goes through the shard cache, not the
-                // per-executor memo: the copies carry the content
-                // identity it keys on, and `refresh` just made each one
-                // current as of its view's write-version.
-                self.plan
-                    .executor
-                    .decide_with(&self.plan.name, bindings, views, |i| {
-                        let (verdict, answered) = cache.verdict_for(&ingested[i])?;
-                        lookup = Some(lookup.map_or(answered, |prev| combine(prev, answered)));
-                        Ok(verdict)
-                    })
+                // The walk is handed the live views — the dispatch-time
+                // tamper gate compares against their write-versions —
+                // and each verdict comes from the copy `refresh` just
+                // made current as of its view: re-verified, then served
+                // from the executor's content-keyed memo.
+                executor.decide_with(&self.plan.name, bindings, views, |i| {
+                    executor.verdict_for(&ingested[i])
+                })
             },
             pool,
             Schedule::Static { chunk: None },
@@ -360,13 +346,10 @@ impl KernelEntry {
         } else {
             GuardPath::Serial
         };
-        Ok(ExecReport {
-            outcome: Outcome::Executed {
-                path,
-                checksum,
-                degraded,
-            },
-            cache: lookup,
+        Ok(Outcome::Executed {
+            path,
+            checksum,
+            degraded,
         })
     }
 }
@@ -389,24 +372,6 @@ fn refresh(
             .expect("usize::MAX domain admits any subscript");
             copied_at[i] = view.version;
         }
-    }
-}
-
-/// Misses dominate (an inspection ran); then coalesced waits; warm and
-/// live hits are cheapest.
-fn combine(a: Lookup, b: Lookup) -> Lookup {
-    fn rank(l: Lookup) -> u8 {
-        match l {
-            Lookup::Miss => 3,
-            Lookup::Coalesced => 2,
-            Lookup::WarmHit => 1,
-            Lookup::Hit => 0,
-        }
-    }
-    if rank(b) > rank(a) {
-        b
-    } else {
-        a
     }
 }
 
@@ -445,6 +410,15 @@ impl KernelRegistry {
     pub fn any_kept_serial(&self) -> bool {
         lock(&self.entries).values().any(|e| e.kept_serial())
     }
+
+    /// `(hits, misses)` of the executor memos, summed over every
+    /// registered kernel.
+    pub fn memo_lookups(&self) -> (u64, u64) {
+        lock(&self.entries).values().fold((0, 0), |(h, m), e| {
+            let c = e.guard_stats().cache;
+            (h + c.hits, m + c.misses)
+        })
+    }
 }
 
 #[cfg(test)]
@@ -464,17 +438,20 @@ mod tests {
     }
 
     #[test]
-    fn repeated_execution_hits_the_shard_cache() {
-        let cache = ShardedVerdictCache::new(4, 64);
+    fn repeated_execution_hits_the_executor_memo() {
         let pool = ThreadPool::new(2);
         let entry = KernelEntry::new("AMGmk", "test", AlgorithmLevel::New).unwrap();
         assert_eq!(entry.variant(), Variant::OuterParallel);
-        let first = entry.execute(&cache, &pool, false, None).unwrap();
-        assert_eq!(first.cache, Some(Lookup::Miss));
-        let second = entry.execute(&cache, &pool, false, None).unwrap();
-        assert_eq!(second.cache, Some(Lookup::Hit));
+        let lookups = || {
+            let c = entry.guard_stats().cache;
+            (c.hits, c.misses)
+        };
+        let first = entry.execute(&pool, false, None).unwrap();
+        assert_eq!(lookups(), (0, 1));
+        let second = entry.execute(&pool, false, None).unwrap();
+        assert_eq!(lookups(), (1, 1));
         let (Outcome::Executed { checksum: a, .. }, Outcome::Executed { checksum: b, .. }) =
-            (&first.outcome, &second.outcome)
+            (&first, &second)
         else {
             panic!("expected executed outcomes");
         };
@@ -485,22 +462,66 @@ mod tests {
         ));
     }
 
+    /// A tampered index array never gets a stale verdict. A write through
+    /// the instance's boundary (version bump) is re-ingested at the next
+    /// checkout: new content, a memo miss, and the fresh verdict sees the
+    /// violation. A write that bypasses the boundary of an ingested copy
+    /// fails the copy's re-verification before any verdict is consulted.
+    /// Either way the run is serial and bit-equal to the golden.
+    #[test]
+    fn a_tampered_array_never_gets_a_stale_verdict() {
+        let pool = ThreadPool::new(2);
+        let entry = KernelEntry::new("AMGmk", "test", AlgorithmLevel::New).unwrap();
+        let run = || match entry.execute(&pool, false, None).unwrap() {
+            Outcome::Executed {
+                checksum, degraded, ..
+            } => (checksum, degraded),
+            Outcome::Analyzed(_) => panic!("expected an executed outcome"),
+        };
+        let misses = || entry.guard_stats().cache.misses;
+        assert_eq!(run().1, None);
+        assert_eq!(run().1, None, "hot: served from the memo");
+        assert_eq!(misses(), 1);
+
+        let mut p = entry.checkout();
+        assert!(p.inst.tamper_index_arrays());
+        let golden = run_serial_on(p.inst.as_mut(), None);
+        entry.restore(p, None);
+        let (checksum, degraded) = run();
+        assert!(
+            matches!(degraded, Some(ExecError::NotMonotone { .. })),
+            "stale verdict served after tamper: {degraded:?}"
+        );
+        assert_eq!(misses(), 2, "re-ingested content is a new key");
+        assert_eq!(checksum.to_bits(), golden.to_bits());
+
+        let mut p = entry.checkout();
+        p.ingested[0].bypass_validation_mut()[1] += 1;
+        entry.restore(p, None);
+        let (checksum, degraded) = run();
+        assert!(
+            matches!(degraded, Some(ExecError::InvalidIndexArray { .. })),
+            "{degraded:?}"
+        );
+        assert_eq!(misses(), 2, "rejected before the memo was consulted");
+        assert_eq!(checksum.to_bits(), golden.to_bits());
+    }
+
     /// A probe's identity is suspected of faulting workers: neither the
     /// kernel nor its epilogue may open a region, even on an array the
     /// pooled forms would split (`n256k` is 8 × `PAR_MIN`).
     #[test]
     fn serialized_mode_forces_the_serial_path() {
-        let cache = ShardedVerdictCache::new(2, 16);
         let pool = ThreadPool::new(2);
         let entry = KernelEntry::new("StridedScatter", "n256k", AlgorithmLevel::New).unwrap();
         assert_eq!(entry.variant(), Variant::OuterParallel);
-        let r = entry.execute(&cache, &pool, true, None).unwrap();
+        let r = entry.execute(&pool, true, None).unwrap();
         assert_eq!(pool.health().regions, 0, "serialized mode opened a region");
         let Outcome::Executed {
             path,
             checksum,
             degraded,
-        } = r.outcome
+        } = r
         else {
             panic!("expected executed outcome");
         };
@@ -509,7 +530,12 @@ mod tests {
             (GuardPath::Serial, Some(ExecError::Serialized)),
             "a run the caller kept serial says so"
         );
-        assert!(r.cache.is_none(), "serialized mode skips inspection");
+        let c = entry.guard_stats().cache;
+        assert_eq!(
+            (c.hits, c.misses),
+            (0, 0),
+            "serialized mode skips inspection"
+        );
         // The pooled golden opens regions, and agrees to the bit.
         assert_eq!(checksum.to_bits(), entry.golden_checksum(&pool).to_bits());
         assert!(pool.health().regions > 0);

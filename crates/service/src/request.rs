@@ -2,7 +2,7 @@
 //!
 //! A request either asks for *analysis only* (hand back the program
 //! report for C source or pre-lowered IR) or for a *guarded kernel
-//! execution* (analyze → inspect via the sharded verdict cache → guard
+//! execution* (analyze → inspect → guard
 //! → dispatch, returning the executed variant and result checksum).
 //! Every response carries a [`RequestTelemetry`] so callers can see
 //! where their time went without scraping the global trace ring.
@@ -10,8 +10,6 @@
 use std::time::Duration;
 use subsub_core::{AlgorithmLevel, ProgramReport};
 use subsub_rtcheck::{ExecError, GuardPath};
-
-use crate::shard::Lookup;
 
 /// What the caller wants done.
 #[derive(Debug, Clone)]
@@ -257,8 +255,6 @@ pub struct RequestTelemetry {
     pub queued: Duration,
     /// Time spent in the worker (analysis + inspection + execution).
     pub service: Duration,
-    /// How the verdict-cache lookup was answered, when one happened.
-    pub cache: Option<Lookup>,
     /// True when the request was kept serial by policy rather than by
     /// its data: a quarantine probe, or an `Execute` its kernel's open
     /// breaker denied.

@@ -1,6 +1,5 @@
-//! The long-lived analysis service: bounded admission queue, worker
-//! threads multiplexed over one shared omprt pool, and the sharded
-//! verdict cache.
+//! The long-lived analysis service: bounded admission queue and worker
+//! threads multiplexed over one shared omprt pool.
 //!
 //! ## Request lifecycle
 //!
@@ -12,10 +11,10 @@
 //! quarantine probe serial-only) with the job's cancel token
 //! installed as the ambient token, and fulfills the ticket with a
 //! [`Response`] carrying per-request telemetry. Kernel executions flow
-//! through [`KernelRegistry`] and the [`ShardedVerdictCache`]; every
-//! parallel region of every request shares the single omprt pool, whose
-//! nested-region degradation makes concurrent multiplexing safe by
-//! construction.
+//! through [`KernelRegistry`], whose entries hold the only verdict state
+//! there is (each plan's executor memo); every parallel region of every
+//! request shares the single omprt pool, whose nested-region degradation
+//! makes concurrent multiplexing safe by construction.
 //!
 //! Full state machine (see DESIGN.md §8):
 //!
@@ -41,9 +40,9 @@
 //! any running job past its deadline (the ambient-token plumbing stops
 //! the job's parallel regions at the next cooperative boundary), reaps
 //! doomed jobs still in the queue (typed response, fairness slot
-//! freed), and drives snapshot autosave. Ticket abandonment (drop or
-//! timed-out wait) additionally reaps synchronously, so a saturated
-//! queue of abandoned tickets frees its slots without waiting a tick.
+//! freed). Ticket abandonment (drop or timed-out wait) additionally
+//! reaps synchronously, so a saturated queue of abandoned tickets frees
+//! its slots without waiting a tick.
 //!
 //! ## Degradation
 //!
@@ -65,7 +64,6 @@
 //! (DESIGN.md §5c).
 
 use std::collections::{HashMap, VecDeque};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::time::{Duration, Instant};
@@ -85,17 +83,11 @@ use crate::request::{
     Outcome, Payload, Request, RequestTelemetry, Response, ServiceError, ShedReason,
     NUM_SHED_REASONS,
 };
-use crate::shard::{ShardStats, ShardedVerdictCache};
-use crate::snapshot::{self, SnapshotError};
-use crate::store::{Recovery, SnapshotStore, StoreStats};
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Shards of the verdict cache, and the capacity bound of each.
-const SHARDS: usize = 8;
-const SHARD_CAPACITY: usize = 256;
 /// Janitor scan period: the bound on how stale a deadline trip or
 /// queued-job reap can be.
 const JANITOR_TICK: Duration = Duration::from_millis(2);
@@ -116,11 +108,6 @@ pub struct ServiceConfig {
     pub pool_threads: usize,
     /// Poison-quarantine ladder tunables.
     pub quarantine: QuarantineConfig,
-    /// Snapshot persistence directory (`None` = in-memory only).
-    pub snapshot_dir: Option<PathBuf>,
-    /// Autosave once this many new inspections (cache misses) have
-    /// accumulated since the last successful save.
-    pub autosave_dirty: u64,
     /// Frontend resource limits applied to `AnalyzeSource` payloads:
     /// oversized sources shed [`ShedReason::OverBudget`] at admission,
     /// and the lexer/parser enforce the token/depth/node bounds while
@@ -137,8 +124,6 @@ impl Default for ServiceConfig {
             level: AlgorithmLevel::New,
             pool_threads: 3,
             quarantine: QuarantineConfig::default(),
-            snapshot_dir: None,
-            autosave_dirty: 64,
             parse_budget: ParseBudget::DEFAULT,
         }
     }
@@ -167,10 +152,36 @@ pub struct ServiceStats {
     pub reaped_queued: u64,
     /// Quarantine-ladder counters.
     pub quarantine: QuarantineStats,
-    /// Snapshot-store counters (zero when persistence is off).
-    pub store: StoreStats,
-    /// Verdict-cache counters.
+    /// Verdict-memo lookups, summed over every registered kernel's
+    /// executor (`GuardStats::cache`).
     pub cache: ShardStats,
+}
+
+/// How the verdict lookups of [`ServiceStats::cache`] were answered.
+/// The name and the two fields that always read 0 are pinned by
+/// `benchmark/README.md`'s API-surface manifest: `warm_hits` counted
+/// snapshot-loaded entries and `coalesced` single-flight waits, neither
+/// of which exists any more (ROADMAP has the follow-up).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardStats {
+    /// Lookups served from an executor's memo.
+    pub hits: u64,
+    /// Always 0.
+    pub warm_hits: u64,
+    /// Always 0.
+    pub coalesced: u64,
+    /// Lookups that recombined an array's block summaries.
+    pub misses: u64,
+}
+
+impl ShardStats {
+    /// Fraction of lookups served from a memo (0.0 when idle).
+    pub fn hit_rate(&self) -> f64 {
+        match self.hits + self.misses {
+            0 => 0.0,
+            total => self.hits as f64 / total as f64,
+        }
+    }
 }
 
 impl ServiceStats {
@@ -297,13 +308,10 @@ struct Inner {
     cfg: ServiceConfig,
     queue: Mutex<QueueState>,
     jobs_cv: Condvar,
-    cache: ShardedVerdictCache,
     registry: KernelRegistry,
     pool: Arc<ThreadPool>,
     running: RunningSet,
     quarantine: Quarantine,
-    store: Option<SnapshotStore>,
-    recovery: Mutex<Option<Recovery>>,
     admitted: AtomicU64,
     completed: AtomicU64,
     shed: [AtomicU64; NUM_SHED_REASONS],
@@ -312,9 +320,6 @@ struct Inner {
     expired: AtomicU64,
     abandoned: AtomicU64,
     reaped_queued: AtomicU64,
-    /// Cache-miss count at the last successful save (autosave dirt
-    /// metric: misses since then are new inspections worth persisting).
-    saved_misses: AtomicU64,
     draining: AtomicBool,
     janitor_stop: Mutex<bool>,
     janitor_cv: Condvar,
@@ -400,7 +405,7 @@ impl Inner {
         }
     }
 
-    fn execute_payload(&self, job: &Job) -> ExecOutcome {
+    fn execute_payload(&self, job: &Job) -> Result<Outcome, ServiceError> {
         // Chaos site: a worker faulting at dispatch — before the payload
         // machinery runs. Panic arms land in the worker's catch_unwind
         // and surface as a classified Failed response.
@@ -414,51 +419,31 @@ impl Inner {
                     analyze_program_with(source, *level, &self.cfg.parse_budget)
                 });
                 match analyzed {
-                    Ok(report) => ExecOutcome {
-                        result: Ok(Outcome::Analyzed(report)),
-                        cache: None,
-                    },
+                    Ok(report) => Ok(Outcome::Analyzed(report)),
                     // A parse abandoned because the deadline fired is the
                     // service's timeout, not the client's bad input.
-                    Err(AnalyzeError::Parse(d)) if d.is_cancelled() => ExecOutcome {
-                        result: Err(ServiceError::Expired),
-                        cache: None,
-                    },
+                    Err(AnalyzeError::Parse(d)) if d.is_cancelled() => Err(ServiceError::Expired),
                     Err(e) => {
                         let arg = match &e {
                             AnalyzeError::Parse(d) => u64::from(d.code.code()),
                             AnalyzeError::Lower { .. } => 0,
                         };
                         telemetry::instant(EventKind::FrontendReject, Phase::Service, 0, arg);
-                        ExecOutcome {
-                            result: Err(ServiceError::Rejected {
-                                code: e.code().to_string(),
-                                detail: e.to_string(),
-                            }),
-                            cache: None,
-                        }
+                        Err(ServiceError::Rejected {
+                            code: e.code().to_string(),
+                            detail: e.to_string(),
+                        })
                     }
                 }
             }
-            Payload::AnalyzeLowered { funcs, level } => ExecOutcome {
-                result: Ok(Outcome::Analyzed(analyze_lowered(funcs, *level))),
-                cache: None,
-            },
+            Payload::AnalyzeLowered { funcs, level } => {
+                Ok(Outcome::Analyzed(analyze_lowered(funcs, *level)))
+            }
             // A quarantine probe is serial by construction.
-            Payload::Execute { kernel, dataset } => match self
+            Payload::Execute { kernel, dataset } => self
                 .registry
                 .entry(kernel, dataset)
-                .and_then(|e| e.execute(&self.cache, &self.pool, job.probe, cancel))
-            {
-                Ok(report) => ExecOutcome {
-                    result: Ok(report.outcome),
-                    cache: report.cache,
-                },
-                Err(e) => ExecOutcome {
-                    result: Err(e),
-                    cache: None,
-                },
-            },
+                .and_then(|e| e.execute(&self.pool, job.probe, cancel)),
         }
     }
 
@@ -534,18 +519,17 @@ impl Inner {
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 self.execute_payload(&job)
             }))
-            .unwrap_or_else(|_| ExecOutcome {
-                result: Err(ServiceError::Failed(ExecError::ParallelFault {
+            .unwrap_or_else(|_| {
+                Err(ServiceError::Failed(ExecError::ParallelFault {
                     detail: "request processing panicked".into(),
-                })),
-                cache: None,
+                }))
             });
             self.running.unregister(&job.control);
             // Kept serial by policy, not by the data: a probe, or a run
             // its kernel's open breaker denied.
             let serialized = job.probe
                 || matches!(
-                    outcome.result,
+                    outcome,
                     Ok(Outcome::Executed {
                         degraded: Some(ExecError::BreakerOpen { .. }),
                         ..
@@ -564,8 +548,8 @@ impl Inner {
                     (Err(doom.error()), Settle::Neutral)
                 }
                 None => {
-                    let settle = Inner::classify_settle(&outcome.result);
-                    (outcome.result, settle)
+                    let settle = Inner::classify_settle(&outcome);
+                    (outcome, settle)
                 }
             };
             self.settle_quarantine(&job, &settle);
@@ -574,7 +558,6 @@ impl Inner {
                 telemetry: RequestTelemetry {
                     queued,
                     service: started.elapsed(),
-                    cache: outcome.cache,
                     serialized,
                 },
             };
@@ -585,34 +568,10 @@ impl Inner {
     }
 
     /// One janitor tick: trip deadlines of running jobs, reap doomed
-    /// queued jobs, autosave the snapshot when enough new inspections
-    /// accumulated.
+    /// queued jobs.
     fn janitor_tick(&self) {
         self.running.trip_doomed();
         self.reap_doomed_queue();
-        self.maybe_autosave(false);
-    }
-
-    /// Autosave gate; `force` saves any dirt (shutdown path). Save
-    /// panics (injected crashes) are contained here — the janitor must
-    /// survive every chaos schedule.
-    fn maybe_autosave(&self, force: bool) {
-        let Some(store) = &self.store else { return };
-        let misses = self.cache.stats().misses;
-        let dirty = misses.saturating_sub(self.saved_misses.load(Ordering::Relaxed));
-        let threshold = if force {
-            1
-        } else {
-            self.cfg.autosave_dirty.max(1)
-        };
-        if dirty < threshold {
-            return;
-        }
-        let saved =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.save(&self.cache)));
-        if let Ok(Ok(_)) = saved {
-            self.saved_misses.store(misses, Ordering::Relaxed);
-        }
     }
 
     fn janitor_loop(&self) {
@@ -636,11 +595,6 @@ impl Inner {
     }
 }
 
-struct ExecOutcome {
-    result: Result<Outcome, ServiceError>,
-    cache: Option<crate::shard::Lookup>,
-}
-
 /// The concurrent analysis front door. See the module docs.
 pub struct AnalysisService {
     inner: Arc<Inner>,
@@ -658,12 +612,7 @@ impl AnalysisService {
     /// Starts the service over a caller-provided pool (shared with
     /// other subsystems).
     pub fn start_with_pool(cfg: ServiceConfig, pool: Arc<ThreadPool>) -> AnalysisService {
-        let store = cfg
-            .snapshot_dir
-            .as_ref()
-            .and_then(|dir| SnapshotStore::open(dir).ok());
         let inner = Arc::new(Inner {
-            cache: ShardedVerdictCache::new(SHARDS, SHARD_CAPACITY),
             registry: KernelRegistry::new(cfg.level),
             pool,
             queue: Mutex::new(QueueState {
@@ -675,8 +624,6 @@ impl AnalysisService {
             jobs_cv: Condvar::new(),
             running: RunningSet::default(),
             quarantine: Quarantine::new(cfg.quarantine.clone()),
-            store,
-            recovery: Mutex::new(None),
             admitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             shed: Default::default(),
@@ -685,19 +632,11 @@ impl AnalysisService {
             expired: AtomicU64::new(0),
             abandoned: AtomicU64::new(0),
             reaped_queued: AtomicU64::new(0),
-            saved_misses: AtomicU64::new(0),
             draining: AtomicBool::new(false),
             janitor_stop: Mutex::new(false),
             janitor_cv: Condvar::new(),
             cfg,
         });
-        // Boot-time recovery: warm the cache from the newest verified
-        // on-disk generation (falling back or starting cold — never a
-        // partial load).
-        if let Some(store) = &inner.store {
-            let r = store.recover(&inner.cache);
-            *lock(&inner.recovery) = Some(r);
-        }
         let mut workers: Vec<_> = (0..inner.cfg.workers.max(1))
             .map(|_| {
                 let inner = Arc::clone(&inner);
@@ -811,35 +750,6 @@ impl AnalysisService {
         })
     }
 
-    /// Serializes the verdict cache as a `subsub-cache/v3` document.
-    pub fn snapshot(&self) -> String {
-        snapshot::write_snapshot(&self.inner.cache)
-    }
-
-    /// Warm-starts the verdict cache from a snapshot. A rejected
-    /// snapshot leaves the cache exactly as it was.
-    pub fn warm_start(&self, text: &str) -> Result<usize, SnapshotError> {
-        snapshot::load_snapshot(&self.inner.cache, text)
-    }
-
-    /// What boot-time recovery found on disk (`None` when persistence
-    /// is off).
-    pub fn recovery(&self) -> Option<Recovery> {
-        *lock(&self.inner.recovery)
-    }
-
-    /// Forces a snapshot save now (persistence must be configured).
-    pub fn persist(&self) -> Option<Result<usize, crate::store::StoreError>> {
-        let store = self.inner.store.as_ref()?;
-        let r = store.save(&self.inner.cache);
-        if r.is_ok() {
-            self.inner
-                .saved_misses
-                .store(self.inner.cache.stats().misses, Ordering::Relaxed);
-        }
-        Some(r)
-    }
-
     /// Whether a payload identity is currently quarantined (harness
     /// introspection).
     pub fn is_quarantined(&self, payload: &Payload) -> bool {
@@ -854,6 +764,7 @@ impl AnalysisService {
     /// Counter snapshot.
     pub fn stats(&self) -> ServiceStats {
         let inner = &self.inner;
+        let (hits, misses) = inner.registry.memo_lookups();
         let mut shed = [0u64; NUM_SHED_REASONS];
         for (slot, counter) in shed.iter_mut().zip(inner.shed.iter()) {
             *slot = counter.load(Ordering::Relaxed);
@@ -868,12 +779,11 @@ impl AnalysisService {
             abandoned: inner.abandoned.load(Ordering::Relaxed),
             reaped_queued: inner.reaped_queued.load(Ordering::Relaxed),
             quarantine: inner.quarantine.stats(),
-            store: inner
-                .store
-                .as_ref()
-                .map(SnapshotStore::stats)
-                .unwrap_or_default(),
-            cache: inner.cache.stats(),
+            cache: ShardStats {
+                hits,
+                misses,
+                ..ShardStats::default()
+            },
         }
     }
 
@@ -888,8 +798,7 @@ impl AnalysisService {
     }
 
     /// Stops admissions, drains queued jobs as `Shed(Shutdown)` errors,
-    /// persists the final snapshot generation (when configured), and
-    /// joins the workers and the janitor.
+    /// and joins the workers and the janitor.
     pub fn shutdown(&self) {
         self.inner.draining.store(true, Ordering::Release);
         let drained: Vec<Job> = {
@@ -914,10 +823,6 @@ impl AnalysisService {
         for h in handles {
             let _ = h.join();
         }
-        // Final generation: persist whatever the run learned. Contained
-        // like the autosave path — a chaos-armed save must not panic
-        // shutdown.
-        self.inner.maybe_autosave(true);
     }
 }
 

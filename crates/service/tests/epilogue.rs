@@ -13,7 +13,7 @@ use subsub_failpoint::{self as failpoint, Arm, FailPlan, Fire};
 use subsub_kernels::kernel_by_name;
 use subsub_omprt::{CancelToken, ThreadPool};
 use subsub_rtcheck::GuardPath;
-use subsub_service::{KernelEntry, Outcome, ServiceError, ShardedVerdictCache};
+use subsub_service::{KernelEntry, Outcome, ServiceError};
 
 /// 512 Ki outputs, 8 × `PAR_MIN`: digest and reset each open a region.
 /// Its scatter targets are disjoint, so every variant is bit-identical
@@ -38,13 +38,11 @@ fn golden() -> f64 {
 }
 
 fn assert_golden_on_the_parallel_path(entry: &KernelEntry, pool: &ThreadPool, golden: f64) {
-    let cache = ShardedVerdictCache::new(2, 16);
-    let report = entry.execute(&cache, pool, false, None).expect("executes");
     let Outcome::Executed {
         path,
         checksum,
         degraded,
-    } = report.outcome
+    } = entry.execute(pool, false, None).expect("executes")
     else {
         panic!("expected an execution outcome");
     };
@@ -91,7 +89,6 @@ fn a_faulted_reset_region_returns_a_pristine_instance() {
 fn a_request_cancelled_mid_run_returns_a_pristine_instance() {
     let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let pool = ThreadPool::new(2);
-    let cache = ShardedVerdictCache::new(2, 16);
     let entry = entry();
     let token = Arc::new(CancelToken::new());
     let cancelled = {
@@ -107,7 +104,7 @@ fn a_request_cancelled_mid_run_returns_a_pristine_instance() {
                 }
                 token.cancel();
             });
-            entry.execute(&cache, &pool, false, Some(&token))
+            entry.execute(&pool, false, Some(&token))
         })
     };
     assert!(matches!(cancelled, Err(ServiceError::Canceled)));

@@ -51,17 +51,18 @@ pub enum EventKind {
     /// The poison-quarantine ladder moved (`arg` = 1 strike recorded,
     /// 2 identity quarantined, 3 probe admitted, 4 released clean).
     Quarantine = 15,
-    /// A snapshot-store persistence event (`arg` = entries written on a
-    /// successful save, 0 for an aborted or failed attempt).
-    SnapshotSave = 16,
+    // 16 is retired (`snapshot_save`): `subsub-telemetry/v1` documents
+    // do not renumber.
     /// The C frontend rejected a request's source (`arg` = the numeric
     /// `DiagCode` of the diagnostic, 0 for a lowering rejection). The
     /// client's own bad input — distinct from worker faults.
     FrontendReject = 17,
 }
 
-/// Number of event kinds (sizing for per-kind counters).
-pub const NUM_KINDS: usize = 18;
+/// Number of event kinds.
+pub const NUM_KINDS: usize = 17;
+/// One past the highest kind code (sizing for per-kind counters).
+pub const KIND_CODES: usize = 18;
 
 impl EventKind {
     /// Stable lowercase name used by the exporters.
@@ -83,7 +84,6 @@ impl EventKind {
             EventKind::ServiceShed => "service_shed",
             EventKind::RequestExpired => "request_expired",
             EventKind::Quarantine => "quarantine",
-            EventKind::SnapshotSave => "snapshot_save",
             EventKind::FrontendReject => "frontend_reject",
         }
     }
@@ -107,7 +107,6 @@ impl EventKind {
             EventKind::ServiceShed,
             EventKind::RequestExpired,
             EventKind::Quarantine,
-            EventKind::SnapshotSave,
             EventKind::FrontendReject,
         ]
     }

@@ -14,7 +14,7 @@
 //! from bucket counts at the bucket's upper bound — good to a factor of
 //! two, which is all a regression gate or a trace summary needs.
 
-use crate::event::{EventKind, Phase, NUM_KINDS, NUM_PHASES};
+use crate::event::{EventKind, Phase, KIND_CODES, NUM_PHASES};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -114,8 +114,8 @@ impl HistogramSnapshot {
     }
 }
 
-fn kind_counters() -> &'static [CachePadded<AtomicU64>; NUM_KINDS] {
-    static COUNTERS: OnceLock<[CachePadded<AtomicU64>; NUM_KINDS]> = OnceLock::new();
+fn kind_counters() -> &'static [CachePadded<AtomicU64>; KIND_CODES] {
+    static COUNTERS: OnceLock<[CachePadded<AtomicU64>; KIND_CODES]> = OnceLock::new();
     COUNTERS.get_or_init(|| std::array::from_fn(|_| CachePadded(AtomicU64::new(0))))
 }
 

@@ -125,7 +125,9 @@ mod tests {
 
     #[test]
     fn disarmed_guard_records_nothing() {
-        // Not armed: the guard must be inert.
+        // Not armed, and no sibling test can arm while the scope is held:
+        // the guard must be inert.
+        let _scope = crate::lock(crate::scope());
         let g = span(Phase::Region, 0);
         assert!(!g.is_armed());
         drop(g);
